@@ -1,12 +1,11 @@
-// Separation-oracle scaling curve: SoA octant aggregates vs the AoS octant
-// path vs the all-pairs brute-force scan, measured on the *real* iterates
-// of a lazy solve, plus the grid-soa vs grid vs scan nearest-neighbour
-// topology build.
+// Separation-oracle scaling curve: the SoA octant oracle vs the all-pairs
+// brute-force scan, measured on the *real* iterates of a lazy solve, plus
+// the grid-soa vs grid vs scan nearest-neighbour topology build.
 //
 // For each sink count one instance is built and lazily solved once with a
-// wrapper oracle that, every round, runs the AoS octant oracle, the SoA
-// octant oracle (serial and at --jobs workers) AND the brute-force
-// reference on the identical LP point, times each, and demands the
+// wrapper oracle that, every round, runs the SoA octant oracle (serial and
+// at --jobs workers) AND the brute-force reference on the identical LP
+// point, times each, and demands the
 // returned row sequences be bitwise identical (supports, coefficients,
 // bounds, order). Any disagreement is a hard error (exit 1): the bench
 // doubles as the oracle's correctness gate. End-to-end SolveEbf wall time
@@ -26,8 +25,7 @@
 //                  quoted in EXPERIMENTS.md. Gates: SoA >= 5x brute at
 //                  1024..2048 sinks (accumulated), >= 8x at larger sizes
 //                  (round-0; measured 10.6x at 4k and 14.5x at 16k on the
-//                  1-core reference container), and SoA no slower than
-//                  1/0.85 of AoS at >= 1024 sinks. LUBT_BENCH_SCALE is
+//                  1-core reference container). LUBT_BENCH_SCALE is
 //                  deliberately ignored (engine benchmark, not a paper
 //                  table).
 //   --big N        the sampled large-size protocol at N sinks only
@@ -72,8 +70,7 @@ struct SizeResult {
   // Separation phase (accumulated over all lazy rounds, identical iterates).
   int sep_calls = 0;
   int rows_found = 0;
-  double sep_octant_seconds = 0.0;  ///< AoS reference path, serial
-  double sep_soa_seconds = 0.0;     ///< SoA path, serial
+  double sep_soa_seconds = 0.0;  ///< SoA path, serial
   double sep_soa_jobs_seconds = 0.0;
   double sep_brute_seconds = 0.0;  ///< accumulated (detail) / round 0 only
   double sep_r0_soa_seconds = 0.0;
@@ -81,10 +78,8 @@ struct SizeResult {
   bool rows_agree = true;
   // End-to-end solves, one per mode (detail sizes only).
   double e2e_soa_seconds = 0.0;
-  double e2e_octant_seconds = 0.0;
   double e2e_brute_seconds = 0.0;
   double e2e_soa_objective = 0.0;
-  double e2e_octant_objective = 0.0;
   double e2e_brute_objective = 0.0;
   bool objectives_agree = true;
   // Topology construction.
@@ -100,10 +95,6 @@ struct SizeResult {
     return sep_r0_soa_seconds > 0.0
                ? sep_r0_brute_seconds / sep_r0_soa_seconds
                : 0.0;
-  }
-  /// AoS time over SoA time; > 1 means the SoA path is faster.
-  double AosRatio() const {
-    return sep_soa_seconds > 0.0 ? sep_octant_seconds / sep_soa_seconds : 0.0;
   }
 };
 
@@ -189,23 +180,22 @@ bool RunSize(int sinks, std::uint64_t seed, int jobs, int max_rounds,
       return false;
     }
     EbfFormulation& f = *built;
+    // The threaded call runs first, so the serial call (whose time the
+    // speedup gates read) finds the formulation's separation scratch
+    // already sized, as the brute-force call after it does; the first call
+    // on a formulation pays that one-time allocation.
     const RowOracle oracle = [&](std::span<const double> x) {
       Timer t;
-      const auto aos = f.FindViolatedSteinerRows(
+      const auto threaded = f.FindViolatedSteinerRows(
           x, defaults.separation_tol, defaults.max_rows_per_round,
-          {SeparationMode::kOctant, 1});
-      out->sep_octant_seconds += t.Seconds();
+          {SeparationMode::kOctantSoa, jobs});
+      out->sep_soa_jobs_seconds += t.Seconds();
       t.Restart();
       auto soa = f.FindViolatedSteinerRows(
           x, defaults.separation_tol, defaults.max_rows_per_round,
           {SeparationMode::kOctantSoa, 1});
       const double soa_seconds = t.Seconds();
       out->sep_soa_seconds += soa_seconds;
-      t.Restart();
-      const auto threaded = f.FindViolatedSteinerRows(
-          x, defaults.separation_tol, defaults.max_rows_per_round,
-          {SeparationMode::kOctantSoa, jobs});
-      out->sep_soa_jobs_seconds += t.Seconds();
       const bool run_brute = out->detail || out->sep_calls == 0;
       if (out->sep_calls == 0) out->sep_r0_soa_seconds = soa_seconds;
       if (run_brute) {
@@ -223,9 +213,10 @@ bool RunSize(int sinks, std::uint64_t seed, int jobs, int max_rounds,
           out->rows_agree = false;
         }
       }
-      if (!SameRows(soa, aos) || !SameRows(soa, threaded)) {
+      if (!SameRows(soa, threaded)) {
         std::fprintf(stderr,
-                     "FAIL %d sinks: oracle row sets disagree in round %d\n",
+                     "FAIL %d sinks: serial and threaded soa rows disagree "
+                     "in round %d\n",
                      sinks, out->sep_calls);
         out->rows_agree = false;
       }
@@ -252,8 +243,7 @@ bool RunSize(int sinks, std::uint64_t seed, int jobs, int max_rounds,
   // (detail sizes only: the brute solve is quadratic per round).
   if (out->detail) {
     for (const SeparationMode mode :
-         {SeparationMode::kOctantSoa, SeparationMode::kOctant,
-          SeparationMode::kBruteForce}) {
+         {SeparationMode::kOctantSoa, SeparationMode::kBruteForce}) {
       EbfSolveOptions opt;
       opt.separation = mode;
       opt.separation_jobs = 1;
@@ -269,10 +259,6 @@ bool RunSize(int sinks, std::uint64_t seed, int jobs, int max_rounds,
           out->e2e_soa_seconds = r.seconds;
           out->e2e_soa_objective = r.objective;
           break;
-        case SeparationMode::kOctant:
-          out->e2e_octant_seconds = r.seconds;
-          out->e2e_octant_objective = r.objective;
-          break;
         case SeparationMode::kBruteForce:
           out->e2e_brute_seconds = r.seconds;
           out->e2e_brute_objective = r.objective;
@@ -280,15 +266,12 @@ bool RunSize(int sinks, std::uint64_t seed, int jobs, int max_rounds,
       }
     }
     const double ref = out->e2e_soa_objective;
-    for (const double other :
-         {out->e2e_octant_objective, out->e2e_brute_objective}) {
-      if (std::abs(other - ref) > 1e-6 * (1.0 + std::abs(ref))) {
-        std::fprintf(
-            stderr,
-            "FAIL %d sinks: e2e objectives disagree (%.12g vs %.12g)\n",
-            sinks, ref, other);
-        out->objectives_agree = false;
-      }
+    const double other = out->e2e_brute_objective;
+    if (std::abs(other - ref) > 1e-6 * (1.0 + std::abs(ref))) {
+      std::fprintf(stderr,
+                   "FAIL %d sinks: e2e objectives disagree (%.12g vs %.12g)\n",
+                   sinks, ref, other);
+      out->objectives_agree = false;
     }
   }
   return out->rows_agree && out->objectives_agree && out->topo_agree;
@@ -305,21 +288,20 @@ void WriteJson(const std::string& path, const std::string& mode, int jobs,
         f,
         "    {\"sinks\": %d, \"detail\": %s, \"sep_calls\": %d, "
         "\"rows_found\": %d,\n"
-        "     \"sep_octant_seconds\": %.6f, \"sep_soa_seconds\": %.6f, "
+        "     \"sep_soa_seconds\": %.6f, "
         "\"sep_soa_jobs_seconds\": %.6f, \"sep_brute_seconds\": %.6f,\n"
         "     \"sep_r0_soa_seconds\": %.6f, \"sep_r0_brute_seconds\": %.6f, "
-        "\"sep_speedup\": %.2f, \"sep_r0_speedup\": %.2f, "
-        "\"aos_over_soa\": %.3f,\n"
-        "     \"e2e_soa_seconds\": %.6f, \"e2e_octant_seconds\": %.6f, "
+        "\"sep_speedup\": %.2f, \"sep_r0_speedup\": %.2f,\n"
+        "     \"e2e_soa_seconds\": %.6f, "
         "\"e2e_brute_seconds\": %.6f, \"objective\": %.12g,\n"
         "     \"topo_gridsoa_seconds\": %.6f, \"topo_grid_seconds\": %.6f, "
         "\"topo_scan_seconds\": %.6f, \"rows_agree\": %s, "
         "\"topo_agree\": %s}%s\n",
         r.sinks, r.detail ? "true" : "false", r.sep_calls, r.rows_found,
-        r.sep_octant_seconds, r.sep_soa_seconds, r.sep_soa_jobs_seconds,
-        r.sep_brute_seconds, r.sep_r0_soa_seconds, r.sep_r0_brute_seconds,
-        r.SepSpeedup(), r.R0Speedup(), r.AosRatio(), r.e2e_soa_seconds,
-        r.e2e_octant_seconds, r.e2e_brute_seconds, r.e2e_soa_objective,
+        r.sep_soa_seconds, r.sep_soa_jobs_seconds, r.sep_brute_seconds,
+        r.sep_r0_soa_seconds, r.sep_r0_brute_seconds, r.SepSpeedup(),
+        r.R0Speedup(), r.e2e_soa_seconds, r.e2e_brute_seconds,
+        r.e2e_soa_objective,
         r.topo_gridsoa_seconds, r.topo_grid_seconds, r.topo_scan_seconds,
         r.rows_agree ? "true" : "false", r.topo_agree ? "true" : "false",
         s + 1 < all.size() ? "," : "");
@@ -340,7 +322,7 @@ int main(int argc, char** argv) {
   }
   if (parsed->Has("help")) {
     std::printf(
-        "separation_scaling: soa/aos octant vs brute-force oracle + "
+        "separation_scaling: soa octant vs brute-force oracle + "
         "grid-soa/grid/scan topology\n"
         "  --smoke      small fixed instances, agreement gates only\n"
         "  --big N      sampled large-size protocol at N sinks only "
@@ -369,9 +351,8 @@ int main(int argc, char** argv) {
 
   std::vector<SizeResult> all;
   bool ok = true;
-  TextTable table({"sinks", "rounds", "rows", "sep_aos(s)", "sep_soa(s)",
-                   "sep_par(s)", "sep_brute(s)", "speedup", "aos/soa",
-                   "e2e_soa(s)", "e2e_brute(s)", "topo_soa(s)",
+  TextTable table({"sinks", "rounds", "rows", "sep_soa(s)", "sep_par(s)",
+                   "sep_brute(s)", "speedup", "e2e_soa(s)", "e2e_brute(s)", "topo_soa(s)",
                    "topo_grid(s)", "topo_scan(s)"});
   for (const int sinks : sizes) {
     SizeResult sr;
@@ -381,13 +362,11 @@ int main(int argc, char** argv) {
     }
     table.AddRow({std::to_string(sr.sinks), std::to_string(sr.sep_calls),
                   std::to_string(sr.rows_found),
-                  FormatDouble(sr.sep_octant_seconds, 4),
                   FormatDouble(sr.sep_soa_seconds, 4),
                   FormatDouble(sr.sep_soa_jobs_seconds, 4),
                   FormatDouble(sr.sep_brute_seconds, 4),
                   FormatDouble(sr.detail ? sr.SepSpeedup() : sr.R0Speedup(),
                                1),
-                  FormatDouble(sr.AosRatio(), 2),
                   FormatDouble(sr.e2e_soa_seconds, 3),
                   FormatDouble(sr.e2e_brute_seconds, 3),
                   FormatDouble(sr.topo_gridsoa_seconds, 4),
@@ -403,8 +382,6 @@ int main(int argc, char** argv) {
   if (!smoke) {
     // Headline + hard gates. Detail sizes compare accumulated separation
     // time; sampled sizes compare the round-0 call (the densest iterate).
-    // The AoS-parity gate keeps the SoA default honest: restructuring the
-    // layout must not cost the small-size curve.
     for (const SizeResult& r : all) {
       if (r.sinks < 1024) continue;
       if (r.detail) {
@@ -432,13 +409,6 @@ int main(int argc, char** argv) {
               r.sinks, r.R0Speedup());
           ok = false;
         }
-      }
-      if (r.AosRatio() < 0.85) {
-        std::fprintf(stderr,
-                     "FAIL %d sinks: soa separation is %.2fx of aos "
-                     "(< 0.85x parity gate)\n",
-                     r.sinks, r.AosRatio());
-        ok = false;
       }
     }
   }

@@ -14,7 +14,7 @@
 //    (exact — the row's support never changes while the topology stands);
 //  * re-separation first targets the edit's dirty region — pairs with an
 //    edited endpoint, screened through the octant oracle's dirty aggregates
-//    (OctantMax::CrossBoundDirty) — and then certifies optimality with full
+//    (OctantSoa::CrossBoundDirty) — and then certifies optimality with full
 //    output-sensitive separation passes, so convergence is never declared
 //    from a partial view of the pair space;
 //  * the interior point warm-starts from the previous primal/dual iterate
@@ -274,17 +274,40 @@ class EcoSession {
                          std::span<const double> pending_lo,
                          std::span<const double> pending_hi) const;
 
-  // The session's lazy loop: solve, separate (dirty-first when `dirty` is
-  // non-empty, then always certify with full passes), append, repeat.
-  Status RunLazyLoop(const std::vector<double>* warm_x,
-                     const std::vector<double>* warm_dual,
-                     std::span<const std::uint8_t> dirty, EcoSolveInfo* info);
+  // The session's lazy solve: one SolveWithLazyRows call (lp/
+  // lazy_row_solver.h) from `warm` (dropped when its size does not match
+  // the model; empty = cold), whose oracle separates dirty-first when
+  // `dirty` is non-empty, then always certifies with full passes, and
+  // registers every new row's pair in the pool.
+  Status RunLazyLoop(LpWarmStart warm, std::span<const std::uint8_t> dirty,
+                     EcoSolveInfo* info);
+
+  // Re-add every `carried` pair missing from `form`'s seed rows, with its
+  // RHS recomputed at the formulation's coordinates and scale. Resets
+  // `seen` to the model's pairs and, when `pool` is non-null, `pool` to
+  // the model's Steiner rows in order. Returns the number of rows added.
+  static int ReseedSteinerPool(
+      std::span<const std::array<std::int32_t, 2>> carried,
+      EbfFormulation& form, std::unordered_set<std::int64_t>* seen,
+      std::vector<std::array<std::int32_t, 2>>* pool);
+
+  // A warm LP point for `form` from edge lengths in layout units by node id.
+  static std::vector<double> ProjectWarmEdgeLengths(
+      const EbfFormulation& form, std::span<const double> edge_len);
+
+  // The rows whose defining pair (aligned `pairs`) is not yet in `seen`, in
+  // order; each kept pair is added to `seen` and, when non-null, `pool`.
+  static std::vector<SparseRow> KeepUnseenPairs(
+      std::vector<SparseRow> rows,
+      std::span<const std::array<std::int32_t, 2>> pairs,
+      std::unordered_set<std::int64_t>* seen,
+      std::vector<std::array<std::int32_t, 2>>* pool);
 
   // Full rebuild of formulation + model from the current instance,
   // re-materializing the Steiner pool against the (possibly repaired)
-  // topology, then a re-solve warm-started from `warm_x` (LP units of the
-  // *new* scale; nullptr = cold).
-  Status RebuildAndSolve(const std::vector<double>* warm_x,
+  // topology, then a re-solve warm-started from `warm_edge_len` (layout
+  // units by node id, projected onto the new model; nullptr = cold).
+  Status RebuildAndSolve(const std::vector<double>* warm_edge_len,
                          EcoSolveInfo* info);
 
   // Topology repair for add/remove. Rebuilds the arena compactly (the

@@ -20,6 +20,8 @@
 //   bare-mutex           std::mutex family outside check/mutex.h wrappers
 //   serve-raw-io         raw read/write/send/recv in src/serve/ outside the
 //                        framing layer (partial-I/O and SIGPIPE hazards)
+//   hot-loop-alloc       heap traffic inside steady-state kernels
+//   lazy-loop            SolveLp() in src/eco/ or src/search/ (one lazy loop)
 //
 // Suppression: `// lubt-lint: allow(rule)` — or `allow(rule-a, rule-b)` —
 // on the offending line or on the line directly above it. Suppressions name

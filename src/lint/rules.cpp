@@ -515,6 +515,33 @@ void RuleHotLoopAlloc(const FileContext& ctx, std::vector<Finding>* out) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// lazy-loop: row generation (paper section 4.6) has exactly one loop,
+// SolveWithLazyRows (lp/lazy_row_solver.h), which owns the warm-start
+// gating, the cold retry and the convergence check. The ECO engine and the
+// topology search solve through it with their own RowOracle; a direct
+// SolveLp call there is a forked copy of that loop in the making.
+
+void RuleLazyLoop(const FileContext& ctx, std::vector<Finding>* out) {
+  if (ctx.rel.empty() || (ctx.rel[0] != "eco" && ctx.rel[0] != "search")) {
+    return;
+  }
+  const Tokens& tokens = ctx.stream->tokens;
+  for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
+    if (!IsIdent(tokens[i]) || !IsText(tokens[i], "SolveLp") ||
+        !IsText(tokens[i + 1], "(")) {
+      continue;
+    }
+    if (i > 0 && (IsText(tokens[i - 1], ".") || IsText(tokens[i - 1], "->"))) {
+      continue;
+    }
+    Add(out, ctx, "lazy-loop", tokens[i].line,
+        "`SolveLp()` in src/" + ctx.rel[0] +
+            "/; go through SolveWithLazyRows with a RowOracle, which owns "
+            "the warm-start gating, cold retry and convergence check");
+  }
+}
+
 }  // namespace
 
 const std::vector<Rule>& Rules() {
@@ -549,6 +576,9 @@ const std::vector<Rule>& Rules() {
        "src/lp/ + src/geom/ + src/search/ steady-state kernels never touch "
        "the heap",
        RuleHotLoopAlloc},
+      {"lazy-loop",
+       "src/eco/ + src/search/ solve LPs only through SolveWithLazyRows",
+       RuleLazyLoop},
   };
   return kRules;
 }

@@ -17,7 +17,8 @@ LpSolution SolveWithLazyRows(LpModel& model, const RowOracle& oracle,
   // Per-solve interior-point state threaded across rounds: the previous
   // round's iterate seeds the next round, and the sparse symbolic analysis
   // survives row appends (the model only grows). A caller-provided context
-  // is reused; otherwise rounds share this stack-local one.
+  // is reused; otherwise rounds share this stack-local one. Round 0 keeps
+  // the caller's options.warm_start.
   const bool thread_rounds = options.engine == LpEngine::kInteriorPoint &&
                              options.warm_start_lazy_rounds;
   IpmContext local_context;
@@ -29,8 +30,10 @@ LpSolution SolveWithLazyRows(LpModel& model, const RowOracle& oracle,
 
   for (int round = 0; round < max_rounds; ++round) {
     ++local.rounds;
-    round_options.warm_start =
-        thread_rounds && !warm.x.empty() ? &warm : nullptr;
+    if (round > 0) {
+      round_options.warm_start =
+          thread_rounds && !warm.x.empty() ? &warm : nullptr;
+    }
     Timer lp_timer;
     solution = SolveLp(model, round_options);
     local.lp_iterations += solution.iterations;
@@ -40,6 +43,7 @@ LpSolution SolveWithLazyRows(LpModel& model, const RowOracle& oracle,
       LUBT_LOG_DEBUG << "lazy round " << round
                      << ": warm solve failed (" << solution.status.message()
                      << "), retrying cold";
+      ++local.cold_retries;
       round_options.warm_start = nullptr;
       solution = SolveLp(model, round_options);
       local.lp_iterations += solution.iterations;

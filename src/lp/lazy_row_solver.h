@@ -30,7 +30,8 @@ struct LazySolveStats {
   int rows_added = 0;       ///< rows appended by the oracle over all rounds
   int final_rows = 0;       ///< rows in the last relaxation
   int lp_iterations = 0;    ///< engine iterations over all rounds
-  int warm_rounds = 0;      ///< rounds started from the previous iterate
+  int warm_rounds = 0;      ///< rounds whose solve consumed a warm start
+  int cold_retries = 0;     ///< warm rounds that failed and re-ran cold
   int symbolic_reuses = 0;  ///< rounds that reused the symbolic analysis
   int regularizations = 0;  ///< Cholesky regularization retries, all rounds
   /// Per-phase wall-time breakdown: seconds spent inside the LP engine vs
@@ -45,13 +46,16 @@ struct LazySolveStats {
 /// Solve min c'x s.t. all rows of `model` plus all rows the oracle can emit.
 /// `model` is mutated: violated rows are appended to it.
 ///
-/// With the interior-point engine (and `options.warm_start_lazy_rounds`,
-/// the default), each round after the first starts from the previous
-/// round's primal/dual iterate and reuses the sparse symbolic analysis when
-/// the appended rows fit the analyzed pattern — rows are only ever
-/// appended, so the ge-row order of earlier rounds is a stable prefix and
-/// the dual prefix transfers directly. A warm round that fails numerically
-/// is retried cold before giving up.
+/// The first round starts from `options.warm_start` when the caller sets
+/// one (an ECO edit's previous optimum, a projected candidate tree). With
+/// the interior-point engine (and `options.warm_start_lazy_rounds`, the
+/// default), each later round starts from the previous round's primal/dual
+/// iterate when the append was modest (violated rows <= 1/4 of the grown
+/// model) and reuses the sparse symbolic analysis when the appended rows
+/// fit the analyzed pattern — rows are only ever appended, so the ge-row
+/// order of earlier rounds is a stable prefix and the dual prefix transfers
+/// directly. A warm round that fails numerically is retried cold before
+/// giving up (counted in LazySolveStats::cold_retries).
 LpSolution SolveWithLazyRows(LpModel& model, const RowOracle& oracle,
                              const LpSolverOptions& options = {},
                              int max_rounds = 50,

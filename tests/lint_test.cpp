@@ -34,9 +34,9 @@ int CountRule(const std::vector<Finding>& findings, const std::string& rule) {
 // ---------------------------------------------------------------------- //
 // Registry
 
-TEST(LintRegistry, TenRulesWithUniqueKebabNames) {
+TEST(LintRegistry, ElevenRulesWithUniqueKebabNames) {
   const std::vector<Rule>& rules = Rules();
-  EXPECT_EQ(rules.size(), 10u);
+  EXPECT_EQ(rules.size(), 11u);
   std::vector<std::string> names;
   for (const Rule& rule : rules) {
     ASSERT_NE(rule.name, nullptr);
@@ -475,6 +475,55 @@ TEST(HotLoopAlloc, SuppressionWaives) {
            "  return true;\n"
            "}\n");
   EXPECT_EQ(CountRule(findings, "hot-loop-alloc"), 0);
+}
+
+// ---------------------------------------------------------------------- //
+// lazy-loop
+
+TEST(LazyLoop, FlagsDirectSolveLpUnderEcoAndSearch) {
+  const std::string body =
+      "Status Run(const LpModel& model, const LpSolverOptions& opt) {\n"
+      "  const LpSolution sol = SolveLp(model, opt);\n"
+      "  return sol.status;\n"
+      "}\n";
+  const auto eco = Lint("src/eco/eco_session.cpp", body);
+  EXPECT_EQ(CountRule(eco, "lazy-loop"), 1);
+  const auto search = Lint("src/search/topo_optimizer.cpp", body);
+  EXPECT_EQ(CountRule(search, "lazy-loop"), 1);
+}
+
+TEST(LazyLoop, SuppressionWaives) {
+  const auto findings =
+      Lint("src/eco/eco_session.cpp",
+           "void F(const LpModel& model) {\n"
+           "  // lubt-lint: allow(lazy-loop)\n"
+           "  const LpSolution sol = SolveLp(model);\n"
+           "}\n");
+  EXPECT_EQ(CountRule(findings, "lazy-loop"), 0);
+}
+
+TEST(LazyLoop, EngineCallsMembersAndOtherDirsClean) {
+  // The sanctioned path: one SolveWithLazyRows call with a RowOracle.
+  const auto engine =
+      Lint("src/eco/eco_session.cpp",
+           "void F(LpModel& model, const RowOracle& oracle) {\n"
+           "  const LpSolution sol = SolveWithLazyRows(model, oracle);\n"
+           "}\n");
+  EXPECT_EQ(CountRule(engine, "lazy-loop"), 0);
+
+  // A member named SolveLp is not the engine entry point.
+  const auto member =
+      Lint("src/search/topo_optimizer.cpp",
+           "void F(Solver& s, Solver* p) { s.SolveLp(1); p->SolveLp(2); }\n");
+  EXPECT_EQ(CountRule(member, "lazy-loop"), 0);
+
+  // Scope: the lazy loop itself and the single-shot solves live elsewhere.
+  for (const char* path : {"src/lp/lazy_row_solver.cpp", "src/ebf/solver.cpp",
+                           "bench/lp_scaling.cpp"}) {
+    const auto elsewhere =
+        Lint(path, "void F(const LpModel& m) { SolveLp(m); }\n");
+    EXPECT_EQ(CountRule(elsewhere, "lazy-loop"), 0) << path;
+  }
 }
 
 // ---------------------------------------------------------------------- //

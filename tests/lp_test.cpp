@@ -672,6 +672,69 @@ TEST(LazyRowTest, WarmLazyRoundsMatchColdOnInteriorPoint) {
   EXPECT_LE(full.MaxInfeasibility(sol[1].x), 1e-6);
 }
 
+TEST(LazyRowTest, CallerWarmStartSeedsRoundZero) {
+  // A caller-provided options.warm_start seeds round 0 even with round
+  // threading off; later rounds then start cold. A start whose size does
+  // not match the model is ignored by the engine.
+  Rng rng(43);
+  const int n = 96;
+  LpModel full = RandomBandedModel(rng, n, 4 * n);
+  const int seed_rows = full.NumRows() / 8;
+  const auto seed_model = [&] {
+    LpModel lazy(n);
+    for (int c = 0; c < n; ++c) {
+      lazy.SetObjective(c, full.Objective()[static_cast<std::size_t>(c)]);
+    }
+    for (int r = 0; r < seed_rows; ++r) lazy.AddRow(full.Row(r));
+    return lazy;
+  };
+  const RowOracle oracle = [&](std::span<const double> x) {
+    std::vector<SparseRow> out;
+    for (const SparseRow& row : full.Rows()) {
+      if (row.Activity(x) < row.lo - 1e-9) out.push_back(row);
+    }
+    return out;
+  };
+  LpSolverOptions o = IpmWith(IpmNormalEq::kAuto);
+  o.warm_start_lazy_rounds = false;
+
+  LpModel cold_model = seed_model();
+  LazySolveStats cold_stats;
+  const LpSolution cold =
+      SolveWithLazyRows(cold_model, oracle, o, 50, &cold_stats);
+  ASSERT_TRUE(cold.ok()) << cold.status;
+  EXPECT_EQ(cold_stats.warm_rounds, 0);
+
+  // The prior solve: the seed relaxation itself, so (x, ge_dual) match the
+  // round-0 model exactly.
+  const LpSolution prior = SolveLp(seed_model(), o);
+  ASSERT_TRUE(prior.ok()) << prior.status;
+  LpWarmStart warm{prior.x, prior.ge_dual};
+  LpSolverOptions seeded = o;
+  seeded.warm_start = &warm;
+  LpModel warm_model = seed_model();
+  LazySolveStats warm_stats;
+  const LpSolution sol =
+      SolveWithLazyRows(warm_model, oracle, seeded, 50, &warm_stats);
+  ASSERT_TRUE(sol.ok()) << sol.status;
+  EXPECT_EQ(warm_stats.warm_rounds, 1);
+  EXPECT_EQ(warm_stats.cold_retries, 0);
+  EXPECT_NEAR(sol.objective, cold.objective,
+              1e-6 * (1.0 + std::abs(cold.objective)));
+  EXPECT_LE(full.MaxInfeasibility(sol.x), 1e-6);
+
+  LpWarmStart mismatched{std::vector<double>(n + 1, 1.0), {}};
+  seeded.warm_start = &mismatched;
+  LpModel mismatched_model = seed_model();
+  LazySolveStats mismatched_stats;
+  const LpSolution ignored = SolveWithLazyRows(mismatched_model, oracle,
+                                               seeded, 50, &mismatched_stats);
+  ASSERT_TRUE(ignored.ok()) << ignored.status;
+  EXPECT_EQ(mismatched_stats.warm_rounds, 0);
+  EXPECT_NEAR(ignored.objective, cold.objective,
+              1e-6 * (1.0 + std::abs(cold.objective)));
+}
+
 // ---- Model sanity ------------------------------------------------------------
 
 TEST(LpModelTest, ActivityAndInfeasibility) {

@@ -73,19 +73,15 @@ void ExpectSameRows(const std::vector<SparseRow>& a,
   }
 }
 
-// Query all three modes on the same iterate and demand bitwise-equal
-// sequences (the SoA oracle rides the same screening order as the AoS one;
-// see geom/octant.h).
+// Query both modes on the same iterate and demand bitwise-equal sequences:
+// the all-pairs scan is the reference for the octant oracle.
 void CrossCheck(const EbfFormulation& f, std::span<const double> x,
                 double tol, int max_rows) {
-  const SeparationOptions octant{SeparationMode::kOctant, 1};
   const SeparationOptions soa{SeparationMode::kOctantSoa, 1};
   const SeparationOptions brute{SeparationMode::kBruteForce, 1};
-  const auto fast = f.FindViolatedSteinerRows(x, tol, max_rows, octant);
+  const auto fast = f.FindViolatedSteinerRows(x, tol, max_rows, soa);
   const auto ref = f.FindViolatedSteinerRows(x, tol, max_rows, brute);
   ExpectSameRows(fast, ref);
-  const auto lanes = f.FindViolatedSteinerRows(x, tol, max_rows, soa);
-  ExpectSameRows(lanes, ref);
 }
 
 class OracleAgreementTest
@@ -120,6 +116,33 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(true, true, 0),
                       std::make_tuple(false, true, 3),
                       std::make_tuple(true, false, 4)));
+
+// The dirty-restricted entry point (the ECO engine's re-separation path)
+// obeys the same contract over the pairs with a flagged endpoint.
+TEST(OracleAgreementTest, DirtyOctantMatchesBruteForceBitwise) {
+  Rng rng(0xd1e7ULL);
+  for (const bool with_source : {true, false}) {
+    const Instance inst = BuildInstance(47, 303, with_source,
+                                        /*clustered=*/true, /*duplicates=*/3);
+    auto built = EbfFormulation::Build(inst.problem, SteinerRowPolicy::kSeed);
+    ASSERT_TRUE(built.ok()) << built.status().message();
+    const std::size_t m = inst.set.sinks.size();
+    for (int rep = 0; rep < 6; ++rep) {
+      const std::vector<double> x = RandomPoint(built->Model().NumCols(), rng);
+      std::vector<std::uint8_t> dirty(m, 0);
+      for (int k = 0; k <= rep; ++k) {
+        dirty[rng.UniformInt(static_cast<std::uint64_t>(m))] = 1;
+      }
+      for (const int max_rows : {1, 1 << 20}) {
+        const auto fast = built->FindViolatedSteinerRowsDirty(
+            x, 1e-7, max_rows, {SeparationMode::kOctantSoa, 2}, dirty);
+        const auto ref = built->FindViolatedSteinerRowsDirty(
+            x, 1e-7, max_rows, {SeparationMode::kBruteForce, 1}, dirty);
+        ExpectSameRows(fast, ref);
+      }
+    }
+  }
+}
 
 // The separation test is strict `violation > tol`: a tol equal to an exact
 // violation amount must drop that pair in both modes identically.
@@ -156,14 +179,11 @@ TEST(OracleAgreementTest, WorkerCountDoesNotChangeResults) {
   Rng rng(7);
   for (int rep = 0; rep < 3; ++rep) {
     const std::vector<double> x = RandomPoint(built->Model().NumCols(), rng);
-    for (const SeparationMode mode :
-         {SeparationMode::kOctant, SeparationMode::kOctantSoa}) {
-      const auto serial =
-          built->FindViolatedSteinerRows(x, 1e-7, 1 << 20, {mode, 1});
-      const auto parallel =
-          built->FindViolatedSteinerRows(x, 1e-7, 1 << 20, {mode, 4});
-      ExpectSameRows(serial, parallel);
-    }
+    const auto serial = built->FindViolatedSteinerRows(
+        x, 1e-7, 1 << 20, {SeparationMode::kOctantSoa, 1});
+    const auto parallel = built->FindViolatedSteinerRows(
+        x, 1e-7, 1 << 20, {SeparationMode::kOctantSoa, 4});
+    ExpectSameRows(serial, parallel);
   }
 }
 
@@ -175,7 +195,7 @@ TEST(OracleAgreementTest, LazySolveIsOracleInvariant) {
     const Instance inst =
         BuildInstance(60, 1234, with_source, /*clustered=*/false);
     EbfSolveOptions octant;
-    octant.separation = SeparationMode::kOctant;
+    octant.separation = SeparationMode::kOctantSoa;
     EbfSolveOptions brute;
     brute.separation = SeparationMode::kBruteForce;
     const EbfSolveResult a = SolveEbf(inst.problem, octant);

@@ -121,7 +121,7 @@ for preset in "${presets[@]}"; do
     # not timings). lp_scaling --kernel refactors the 4096/16384-sink
     # normal equations supernodal vs simplicial and enforces the
     # hardware-aware speedup floor plus Solve() equivalence;
-    # separation_scaling --big runs the sampled 16k protocol (SoA vs AoS vs
+    # separation_scaling --big runs the sampled 16k protocol (SoA vs
     # round-0 brute force, grid-soa vs grid topology) with bitwise row
     # agreement and its own speedup floors. BIG_SINKS overrides the
     # separation size (e.g. 4096 for a quick local loop).

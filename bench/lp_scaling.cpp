@@ -1,14 +1,16 @@
-// LP engine scaling curve: dense vs sparse normal equations, cold vs
-// warm-started lazy rounds, on EBF instances of growing size — plus the
-// factor-kernel curve (supernodal vs simplicial sparse Cholesky) that
-// pushes the envelope to 16k sinks.
+// LP engine scaling curve: cold vs warm-started lazy rounds of the
+// interior point (sparse normal equations), on EBF instances of growing
+// size — plus the factor-kernel curve (supernodal vs simplicial sparse
+// Cholesky) that pushes the envelope to 16k sinks.
 //
 // For each sink count the same instance (topology + delay window) is solved
-// four ways — {dense, sparse} normal equations x {cold, warm} lazy rounds —
-// and the wall time, its lp/separation phase split, total interior-point
-// iterations, lazy rounds and objective are reported. The objectives must
-// agree to 1e-6 relative across all four variants; disagreement is a hard
-// error (exit 1), which makes the bench double as a correctness gate.
+// with cold and with warm lazy rounds, and the wall time, its
+// lp/separation phase split, total interior-point iterations, lazy rounds
+// and objective are reported. The objectives must agree to 1e-6 relative;
+// disagreement is a hard error (exit 1), which makes the bench double as a
+// correctness gate. --smoke also solves each instance with a lazy simplex,
+// an engine sharing no numerics with the interior point, as the
+// independent reference both variants must agree with.
 //
 // The kernel phase isolates the Newton-step bottleneck: one symbolic
 // analysis per instance, then repeated numeric Factor() calls per
@@ -31,9 +33,10 @@
 //                  speedup + equivalence gates; the 16k smoke gate wired
 //                  into tools/check.sh (default preset only — sanitizer
 //                  builds are not timings).
-//   --smoke        small fixed instances, agreement + mode-equivalence
-//                  checks only (no timing gates); fast enough for
-//                  tools/check.sh and the sanitizer presets.
+//   --smoke        small fixed instances, agreement (simplex reference
+//                  included) + mode-equivalence checks only (no timing
+//                  gates); fast enough for tools/check.sh and the
+//                  sanitizer presets.
 //
 // Flags: --smoke, --kernel, --seed S (default 7), --jobs N (supernodal
 // factor workers; default 0 = hardware concurrency), --json PATH (default
@@ -45,6 +48,7 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common.h"
@@ -65,7 +69,6 @@ namespace {
 
 struct VariantResult {
   std::string name;
-  bool sparse = false;
   bool warm = false;
   Status status;
   double seconds = 0.0;
@@ -104,16 +107,15 @@ struct KernelResult {
   }
 };
 
-VariantResult RunVariant(const EbfProblem& prob, bool sparse, bool warm) {
+VariantResult RunVariant(const EbfProblem& prob, LpEngine engine, bool warm) {
   VariantResult out;
-  out.sparse = sparse;
   out.warm = warm;
-  out.name = std::string(sparse ? "sparse" : "dense") + "+" +
-             (warm ? "warm" : "cold");
+  out.name = engine == LpEngine::kSimplex ? "simplex"
+             : warm                       ? "sparse+warm"
+                                          : "sparse+cold";
   EbfSolveOptions opt;
   opt.strategy = EbfStrategy::kLazy;
-  opt.lp.engine = LpEngine::kInteriorPoint;
-  opt.lp.normal_eq = sparse ? IpmNormalEq::kSparse : IpmNormalEq::kDense;
+  opt.lp.engine = engine;
   opt.lp.warm_start_lazy_rounds = warm;
   // The zero-skew shortcut would bypass the LP entirely; the ranged windows
   // below never trigger it, but keep the intent explicit.
@@ -132,9 +134,11 @@ VariantResult RunVariant(const EbfProblem& prob, bool sparse, bool warm) {
   return out;
 }
 
-// Solve one instance all four ways; returns false on any failure or
-// objective disagreement.
-bool RunSize(int sinks, std::uint64_t seed, SizeResult* out) {
+// Solve one instance with cold and warm lazy rounds (and, with
+// `simplex_reference`, a lazy simplex solve); returns false on any failure
+// or objective disagreement.
+bool RunSize(int sinks, std::uint64_t seed, bool simplex_reference,
+             SizeResult* out) {
   SinkSet set = RandomSinkSet(sinks, BBox({0.0, 0.0}, {1000.0, 1000.0}), seed,
                               /*with_source=*/true);
   const double radius = Radius(set.sinks, set.source);
@@ -148,17 +152,19 @@ bool RunSize(int sinks, std::uint64_t seed, SizeResult* out) {
 
   out->sinks = sinks;
   bool ok = true;
-  for (const bool sparse : {false, true}) {
-    for (const bool warm : {false, true}) {
-      VariantResult v = RunVariant(prob, sparse, warm);
-      v.lp_cols = topo.NumEdges();
-      if (!v.status.ok()) {
-        std::fprintf(stderr, "FAIL %d sinks %s: %s\n", sinks, v.name.c_str(),
-                     v.status.ToString().c_str());
-        ok = false;
-      }
-      out->variants.push_back(std::move(v));
+  std::vector<std::pair<LpEngine, bool>> runs;
+  if (simplex_reference) runs.emplace_back(LpEngine::kSimplex, false);
+  runs.emplace_back(LpEngine::kInteriorPoint, false);
+  runs.emplace_back(LpEngine::kInteriorPoint, true);
+  for (const auto& [engine, warm] : runs) {
+    VariantResult v = RunVariant(prob, engine, warm);
+    v.lp_cols = topo.NumEdges();
+    if (!v.status.ok()) {
+      std::fprintf(stderr, "FAIL %d sinks %s: %s\n", sinks, v.name.c_str(),
+                   v.status.ToString().c_str());
+      ok = false;
     }
+    out->variants.push_back(std::move(v));
   }
   if (!ok) return false;
 
@@ -275,16 +281,15 @@ void WriteJson(const std::string& path, const std::string& mode, int jobs,
       const VariantResult& r = sr.variants[v];
       std::fprintf(
           f,
-          "        {\"engine\": \"%s\", \"sparse_normal\": %s, "
+          "        {\"engine\": \"%s\", "
           "\"warm_lazy_rounds\": %s, \"seconds\": %.6f, "
           "\"lp_seconds\": %.6f, \"separation_seconds\": %.6f, "
           "\"lp_iterations\": %d, \"lazy_rounds\": %d, "
           "\"symbolic_reuses\": %d, \"warm_rounds\": %d, "
           "\"lp_rows\": %d, \"lp_cols\": %d, \"objective\": %.12g}%s\n",
-          r.name.c_str(), r.sparse ? "true" : "false",
-          r.warm ? "true" : "false", r.seconds, r.lp_seconds, r.sep_seconds,
-          r.lp_iterations, r.lazy_rounds, r.symbolic_reuses, r.warm_rounds,
-          r.lp_rows, r.lp_cols, r.objective,
+          r.name.c_str(), r.warm ? "true" : "false", r.seconds, r.lp_seconds,
+          r.sep_seconds, r.lp_iterations, r.lazy_rounds, r.symbolic_reuses,
+          r.warm_rounds, r.lp_rows, r.lp_cols, r.objective,
           v + 1 < sr.variants.size() ? "," : "");
     }
     std::fprintf(f, "      ]\n    }%s\n", s + 1 < all.size() ? "," : "");
@@ -319,9 +324,10 @@ int main(int argc, char** argv) {
   }
   if (parsed->Has("help")) {
     std::printf(
-        "lp_scaling: dense/sparse x cold/warm LP engine scaling curve plus\n"
+        "lp_scaling: cold/warm lazy-round LP engine scaling curve plus\n"
         "supernodal-vs-simplicial factor kernel curve\n"
         "  --smoke      small fixed instances, agreement gates only\n"
+        "               (lazy simplex as the reference)\n"
         "  --kernel     factor kernel only at {4096, 16384}, gated\n"
         "  --seed S     instance seed (default 7)\n"
         "  --jobs N     supernodal factor workers (default 0 = hw threads)\n"
@@ -358,7 +364,9 @@ int main(int argc, char** argv) {
                    "rounds", "warm_rounds", "sym_reuses", "rows"});
   for (const int sinks : sizes) {
     SizeResult sr;
-    if (!RunSize(sinks, static_cast<std::uint64_t>(*seed), &sr)) ok = false;
+    if (!RunSize(sinks, static_cast<std::uint64_t>(*seed), smoke, &sr)) {
+      ok = false;
+    }
     for (const VariantResult& v : sr.variants) {
       table.AddRow({std::to_string(sr.sinks), v.name,
                     FormatDouble(v.seconds, 4), FormatDouble(v.lp_seconds, 4),
@@ -372,7 +380,7 @@ int main(int argc, char** argv) {
     all.push_back(std::move(sr));
   }
   if (!sizes.empty()) {
-    std::printf("\n=== LP scaling: normal equations x warm start ===\n%s",
+    std::printf("\n=== LP scaling: cold vs warm lazy rounds ===\n%s",
                 table.ToString().c_str());
   }
 
@@ -428,21 +436,6 @@ int main(int argc, char** argv) {
                      kr.sinks, kr.Speedup());
         ok = false;
       }
-    }
-  }
-  if (!smoke && !kernel_only && ok && !all.empty()) {
-    // Headline numbers: the tentpole claim is sparse+warm vs dense+cold.
-    const SizeResult& biggest = all.back();
-    double dense_cold = 0.0;
-    double sparse_warm = 0.0;
-    for (const VariantResult& v : biggest.variants) {
-      if (!v.sparse && !v.warm) dense_cold = v.seconds;
-      if (v.sparse && v.warm) sparse_warm = v.seconds;
-    }
-    if (sparse_warm > 0.0) {
-      std::printf("%d sinks: dense+cold %.3fs, sparse+warm %.3fs (%.1fx)\n",
-                  biggest.sinks, dense_cold, sparse_warm,
-                  dense_cold / sparse_warm);
     }
   }
   if (!ok) {

@@ -11,11 +11,12 @@
 //    SteinerRowForSinks at the captured scale; eco keeps both invariants by
 //    refreshing bounds in place on every edit), so Restore rebuilds them
 //    through EbfFormulation::BuildWithSteinerPairs instead of storing them;
-//  * the IpmContext symbolic factorization — re-derived on the first
-//    post-restore solve. This is bitwise-safe because MinDegreeOrder
-//    depends only on the normal-matrix pattern graph, which TryExtend
-//    guarantees is unchanged from the analysis the live session carries
-//    (DESIGN.md section 15).
+//  * the session's sparse symbolic factorization — re-derived on the first
+//    post-restore solve. This is bitwise-safe because the live session
+//    reuses an analysis only for a compiled model of unchanged structure,
+//    and Analyze is a deterministic function of that structure, so the
+//    fresh analysis equals the one the live session carries (DESIGN.md
+//    section 15).
 //
 // The serve layer's codec (serve/checkpoint_codec.h) gives this struct a
 // bitwise-faithful text format for spill-to-disk; the session cache uses it

@@ -166,10 +166,9 @@ EcoTopoEval EcoSession::EvaluateCandidateTopology(
   // documented worker-count invariant, and evaluations themselves fan out
   // across the optimizer's workers, so inner parallelism would only
   // oversubscribe.
-  IpmContext ipm;
   LpSolverOptions lp_opt = opt_.solve.lp;
   lp_opt.engine = LpEngine::kInteriorPoint;
-  lp_opt.ipm_context = &ipm;
+  lp_opt.ipm_context = nullptr;  // the lazy loop's own per-solve factor
   lp_opt.factor_jobs = 1;
   lp_opt.warm_start = warm.x.empty() ? nullptr : &warm;
   const double tol = opt_.solve.separation_tol;
@@ -260,7 +259,7 @@ void EcoSession::PushDelayWindow(std::int32_t s, EcoSolveInfo* info) {
     // analysis no longer describe this model.
     ge_has_hi_[static_cast<std::size_t>(s)] = has_hi;
     lp_dual_.clear();
-    ipm_ = IpmContext{};
+    ipm_ = SparseNormalFactor{};
   }
 }
 
@@ -365,7 +364,7 @@ Status EcoSession::RebuildAndSolve(const std::vector<double>* warm_edge_len,
       EbfFormulation::Build(problem_, SteinerRowPolicy::kSeed);
   if (!built.ok()) return built.status();
   form_.emplace(std::move(built).value());
-  ipm_ = IpmContext{};
+  ipm_ = SparseNormalFactor{};
   lp_dual_.clear();
   lp_valid_ = false;
   needs_rebuild_ = false;

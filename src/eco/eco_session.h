@@ -18,7 +18,7 @@
 //    output-sensitive separation passes, so convergence is never declared
 //    from a partial view of the pair space;
 //  * the interior point warm-starts from the previous primal/dual iterate
-//    and reuses the sparse symbolic factorization (IpmContext) whenever the
+//    and reuses the sparse symbolic factorization (ipm_) whenever the
 //    compiled row pattern is unchanged, which is every RHS-only edit.
 //
 // Correctness contract: after every edit the session's solution matches a
@@ -58,7 +58,7 @@
 #include "io/sink_set.h"
 #include "io/tree_io.h"
 #include "lp/dual_report.h"
-#include "lp/interior_point.h"
+#include "lp/sparse_chol.h"
 
 namespace lubt {
 
@@ -331,7 +331,7 @@ class EcoSession {
   double initial_radius_ = 1.0;
   EbfProblem problem_;  // sinks span -> set_.sinks; topo -> &topo_
   std::optional<EbfFormulation> form_;
-  IpmContext ipm_;
+  SparseNormalFactor ipm_;  // kept across edits; reset on pattern change
 
   std::vector<double> lp_x_;     // last primal iterate, LP units
   std::vector<double> lp_dual_;  // last ge duals (compiled order)

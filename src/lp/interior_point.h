@@ -12,28 +12,15 @@
 // columns — for EBF that is the number of tree edges, independent of how
 // many of the Theta(m^2) Steiner rows are present. Rows are sparse (tree
 // paths) and the normal matrix has a fixed pattern across Newton
-// iterations, so large models run the sparse symbolic/numeric Cholesky
-// (lp/sparse_chol.h); small or dense models keep the historical dense
-// Cholesky, bit for bit (LpSolverOptions::normal_eq).
+// iterations, so every model, whatever its size or density, is factored by
+// the sparse symbolic/numeric Cholesky (lp/sparse_chol.h).
 
 #ifndef LUBT_LP_INTERIOR_POINT_H_
 #define LUBT_LP_INTERIOR_POINT_H_
 
 #include "lp/model.h"
-#include "lp/sparse_chol.h"
 
 namespace lubt {
-
-/// Reusable interior-point state across solves of one model grown
-/// monotonically by row appends (the lazy-row regime): the sparse symbolic
-/// factorization survives between rounds, so a round whose new rows fit the
-/// analyzed pattern skips ordering + elimination-tree + fill analysis.
-class IpmContext {
- public:
-  SparseNormalFactor normal;
-  int analyses = 0;         ///< full symbolic analyses performed
-  int symbolic_reuses = 0;  ///< solves that reused (possibly extending) one
-};
 
 /// Solve `model` with the interior-point engine.
 LpSolution SolveWithInteriorPoint(const LpModel& model,

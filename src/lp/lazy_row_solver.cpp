@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "lp/interior_point.h"
+#include "lp/sparse_chol.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -15,17 +15,17 @@ LpSolution SolveWithLazyRows(LpModel& model, const RowOracle& oracle,
   LpSolution solution;
 
   // Per-solve interior-point state threaded across rounds: the previous
-  // round's iterate seeds the next round, and the sparse symbolic analysis
-  // survives row appends (the model only grows). A caller-provided context
-  // is reused; otherwise rounds share this stack-local one. Round 0 keeps
-  // the caller's options.warm_start.
+  // round's iterate seeds the next round. Round 0 keeps the caller's
+  // options.warm_start. Rounds share one normal-equations factor (the
+  // caller's, else this stack-local one), so a cold retry of a round reuses
+  // its symbolic analysis; a round after an append re-analyzes.
   const bool thread_rounds = options.engine == LpEngine::kInteriorPoint &&
                              options.warm_start_lazy_rounds;
-  IpmContext local_context;
+  SparseNormalFactor local_factor;
   LpWarmStart warm;
   LpSolverOptions round_options = options;
-  if (thread_rounds && round_options.ipm_context == nullptr) {
-    round_options.ipm_context = &local_context;
+  if (round_options.ipm_context == nullptr) {
+    round_options.ipm_context = &local_factor;
   }
 
   for (int round = 0; round < max_rounds; ++round) {

@@ -51,11 +51,11 @@ struct LazySolveStats {
 /// the interior-point engine (and `options.warm_start_lazy_rounds`, the
 /// default), each later round starts from the previous round's primal/dual
 /// iterate when the append was modest (violated rows <= 1/4 of the grown
-/// model) and reuses the sparse symbolic analysis when the appended rows
-/// fit the analyzed pattern — rows are only ever appended, so the ge-row
-/// order of earlier rounds is a stable prefix and the dual prefix transfers
-/// directly. A warm round that fails numerically is retried cold before
-/// giving up (counted in LazySolveStats::cold_retries).
+/// model) — rows are only ever appended, so the ge-row order of earlier
+/// rounds is a stable prefix and the dual prefix transfers directly. A warm
+/// round that fails numerically is retried cold before giving up (counted
+/// in LazySolveStats::cold_retries); the retry reuses the round's symbolic
+/// analysis.
 LpSolution SolveWithLazyRows(LpModel& model, const RowOracle& oracle,
                              const LpSolverOptions& options = {},
                              int max_rounds = 50,

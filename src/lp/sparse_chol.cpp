@@ -152,13 +152,27 @@ void SparseNormalFactor::Analyze(const CompiledLpModel& a) {
     BuildPattern(a);
   }
 
-  scatter_ptr_.assign(1, 0);
+  // Scatter position of every row's column pairs, in the pair order Factor
+  // assembles them. Every pair was just inserted into the pattern.
   scatter_pos_.clear();
-  analyzed_rows_ = 0;
-  analyzed_nnz_ = 0;
-  const bool ok = AppendScatter(a, 0);
-  LUBT_ASSERT(ok);  // every pair was just inserted into the pattern
-  (void)ok;
+  for (int i = 0; i < a.num_rows; ++i) {
+    const std::int64_t begin = a.row_ptr[static_cast<std::size_t>(i)];
+    const std::int64_t end = a.row_ptr[static_cast<std::size_t>(i) + 1];
+    for (std::int64_t pa = begin; pa < end; ++pa) {
+      const std::int32_t ca =
+          inv_perm_[static_cast<std::size_t>(a.col[static_cast<std::size_t>(pa)])];
+      for (std::int64_t pb = begin; pb <= pa; ++pb) {
+        const std::int32_t cb = inv_perm_[static_cast<std::size_t>(
+            a.col[static_cast<std::size_t>(pb)])];
+        const std::int64_t pos =
+            FindEntry(std::min(ca, cb), std::max(ca, cb));
+        LUBT_ASSERT(pos >= 0);
+        scatter_pos_.push_back(pos);
+      }
+    }
+  }
+  analyzed_rows_ = a.num_rows;
+  analyzed_nnz_ = a.row_ptr[static_cast<std::size_t>(a.num_rows)];
   BuildSymbolic();
 }
 
@@ -293,46 +307,11 @@ std::int64_t SparseNormalFactor::FindEntry(std::int32_t r,
   return it - up_row_.begin();
 }
 
-bool SparseNormalFactor::AppendScatter(const CompiledLpModel& a,
-                                       int first_row) {
-  const std::size_t ptr_size = scatter_ptr_.size();
-  const std::size_t pos_size = scatter_pos_.size();
-  for (int i = first_row; i < a.num_rows; ++i) {
-    const std::int64_t begin = a.row_ptr[static_cast<std::size_t>(i)];
-    const std::int64_t end = a.row_ptr[static_cast<std::size_t>(i) + 1];
-    for (std::int64_t pa = begin; pa < end; ++pa) {
-      const std::int32_t ca =
-          inv_perm_[static_cast<std::size_t>(a.col[static_cast<std::size_t>(pa)])];
-      for (std::int64_t pb = begin; pb <= pa; ++pb) {
-        const std::int32_t cb = inv_perm_[static_cast<std::size_t>(
-            a.col[static_cast<std::size_t>(pb)])];
-        const std::int64_t pos =
-            FindEntry(std::min(ca, cb), std::max(ca, cb));
-        if (pos < 0) {  // outside the analyzed pattern: roll back
-          scatter_ptr_.resize(ptr_size);
-          scatter_pos_.resize(pos_size);
-          return false;
-        }
-        scatter_pos_.push_back(pos);
-      }
-    }
-    scatter_ptr_.push_back(static_cast<std::int64_t>(scatter_pos_.size()));
-  }
-  analyzed_rows_ = a.num_rows;
-  analyzed_nnz_ = a.row_ptr[static_cast<std::size_t>(a.num_rows)];
-  return true;
-}
-
-bool SparseNormalFactor::TryExtend(const CompiledLpModel& a) {
-  if (!analyzed() || a.num_cols != n_) return false;
-  if (a.num_rows < analyzed_rows_) return false;
-  // The analyzed prefix must be unchanged; nnz agreement is the cheap
-  // proxy (the append-only contract is the caller's responsibility).
-  if (a.row_ptr[static_cast<std::size_t>(analyzed_rows_)] != analyzed_nnz_) {
-    return false;
-  }
-  if (a.num_rows == analyzed_rows_) return true;
-  return AppendScatter(a, analyzed_rows_);
+bool SparseNormalFactor::Reusable(const CompiledLpModel& a) const {
+  // Equal counts are the cheap proxy for an unchanged structure; that the
+  // supports themselves are unchanged is the caller's contract.
+  return analyzed() && a.num_cols == n_ && a.num_rows == analyzed_rows_ &&
+         a.row_ptr[static_cast<std::size_t>(a.num_rows)] == analyzed_nnz_;
 }
 
 void SparseNormalFactor::BuildSymbolic() {
@@ -798,9 +777,9 @@ bool SparseNormalFactor::Factor(const CompiledLpModel& a,
       }
     }
   }
-  LUBT_DCHECK(c == scatter_ptr_.back());
+  LUBT_DCHECK(c == static_cast<std::int64_t>(scatter_pos_.size()));
 
-  // Escalating diagonal regularization, mirroring the dense fallback.
+  // Escalating diagonal regularization.
   attempts_ = 0;
   double reg = 0.0;
   const bool supernodal = mode_ == IpmFactorMode::kSupernodal;
@@ -1141,13 +1120,6 @@ void SparseNormalFactor::SolveSimplicial(std::span<double> b) const {
     b[static_cast<std::size_t>(perm_[static_cast<std::size_t>(k)])] =
         y[static_cast<std::size_t>(k)];
   }
-}
-
-double SparseNormalFactor::PatternDensity() const {
-  if (n_ == 0) return 1.0;
-  const double total = 0.5 * static_cast<double>(n_) *
-                       (static_cast<double>(n_) + 1.0);
-  return static_cast<double>(up_row_.size()) / total;
 }
 
 }  // namespace lubt

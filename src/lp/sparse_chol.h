@@ -19,10 +19,10 @@
 //     value positions, so a Newton iteration costs O(sum_i nnz(row_i)^2 +
 //     flops(L)) instead of O(n^2 + n^3/6).
 //
-// Because lazy row generation only appends rows, a grown model often adds
-// no new pattern entries (Steiner paths overlap heavily); TryExtend detects
-// that case and keeps the symbolic analysis, which is what makes the
-// symbolic work amortize across lazy rounds.
+// The analysis is reused only for a model of unchanged structure (an ECO
+// edit that moves row bounds, a lazy round's cold retry); a model grown by
+// appended rows is analyzed afresh. Reusing across appends never paid: the
+// new rows of a lazy round essentially always leave the analyzed pattern.
 //
 // Two numeric kernels share the one symbolic analysis (IpmFactorMode):
 //
@@ -57,7 +57,7 @@ std::vector<std::int32_t> MinDegreeOrder(const CompiledLpModel& a);
 /// The sparse normal-equations factor. Lifecycle:
 ///
 ///   SparseNormalFactor f;
-///   f.Analyze(a);                     // or f.TryExtend(a) after appends
+///   if (!f.Reusable(a)) f.Analyze(a);
 ///   while (newton) {
 ///     f.Factor(a, row_weight, diag);  // assemble + refactor numerically
 ///     f.Solve(rhs);
@@ -68,17 +68,15 @@ class SparseNormalFactor {
   /// positions, elimination tree and L's column structure.
   void Analyze(const CompiledLpModel& a);
 
-  /// Reuse the existing analysis for a model grown from the analyzed one by
-  /// row appends. Succeeds (and registers the new rows' scatter positions)
-  /// when every appended row's column pairs already lie inside the analyzed
-  /// pattern; otherwise leaves the analysis untouched and returns false, in
-  /// which case the caller must Analyze() again. Also returns false when no
-  /// analysis exists or `a` is not a grown version of the analyzed model.
-  bool TryExtend(const CompiledLpModel& a);
+  /// True when the existing analysis describes `a`: same column count, row
+  /// count and nonzero count as the analyzed model. Equal counts are the
+  /// cheap proxy for an unchanged structure; callers reuse a factor only
+  /// across models whose row supports they know to be unchanged.
+  bool Reusable(const CompiledLpModel& a) const;
 
   /// Assemble M = A' diag(row_weight) A + diag(diag) and factor it, retrying
-  /// with escalating diagonal regularization like the dense path. Returns
-  /// false if the matrix could not be factored even with regularization.
+  /// with escalating diagonal regularization. Returns false if the matrix
+  /// could not be factored even with regularization.
   bool Factor(const CompiledLpModel& a, std::span<const double> row_weight,
               std::span<const double> diag);
 
@@ -96,13 +94,10 @@ class SparseNormalFactor {
   void Solve(std::span<double> b) const;
 
   bool analyzed() const { return n_ > 0; }
-  int analyzed_rows() const { return analyzed_rows_; }
   /// nnz of the lower triangle of M (diagonal included).
   std::int64_t PatternNnz() const {
     return analyzed() ? static_cast<std::int64_t>(up_row_.size()) : 0;
   }
-  /// PatternNnz over the full lower-triangle size, in [0, 1].
-  double PatternDensity() const;
   /// nnz of the Cholesky factor L (diagonal included).
   std::int64_t FillNnz() const {
     return analyzed() && !l_ptr_.empty() ? l_ptr_.back() : 0;
@@ -117,9 +112,6 @@ class SparseNormalFactor {
   }
 
  private:
-  // Append scatter positions for rows [first_row, a.num_rows). Returns false
-  // (and truncates any partial append) if a pair falls outside the pattern.
-  bool AppendScatter(const CompiledLpModel& a, int first_row);
   // Position of (r, c) with r <= c in the permuted upper CSC pattern, or -1.
   std::int64_t FindEntry(std::int32_t r, std::int32_t c) const;
   // Upper-triangular pattern of P M P' for the current perm_/inv_perm_.
@@ -157,9 +149,9 @@ class SparseNormalFactor {
   std::vector<double> up_val_;          // assembled values
   std::vector<std::int64_t> diag_pos_;  // per ORIGINAL column
 
-  // Scatter positions into up_val_, per ge row, aligned with the pair
-  // enumeration (a, b) for a = 0..len-1, b = 0..a over the row's entries.
-  std::vector<std::int64_t> scatter_ptr_;
+  // Scatter positions into up_val_, ge rows in order, each aligned with
+  // the pair enumeration (a, b) for a = 0..len-1, b = 0..a over the row's
+  // entries.
   std::vector<std::int64_t> scatter_pos_;
 
   // Symbolic L (CSC, first entry of each column is its diagonal).

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <span>
@@ -337,25 +338,18 @@ LpModel RandomBandedModel(Rng& rng, int n, int rows) {
   return m;
 }
 
-LpSolverOptions IpmWith(IpmNormalEq ne) {
-  LpSolverOptions o;
-  o.engine = LpEngine::kInteriorPoint;
-  o.normal_eq = ne;
-  return o;
-}
-
 class SparseNormalTest : public ::testing::TestWithParam<int> {};
 
+// The interior point's sparse normal equations against the dense-tableau
+// simplex, an engine that shares no numerics with it.
 TEST_P(SparseNormalTest, SparseMatchesDenseOnBandedModels) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 3);
   const int n = 64 + static_cast<int>(rng.UniformInt(64));
   LpModel m = RandomBandedModel(rng, n, 3 * n);
-  const LpSolution dense = SolveLp(m, IpmWith(IpmNormalEq::kDense));
-  const LpSolution sparse = SolveLp(m, IpmWith(IpmNormalEq::kSparse));
+  const LpSolution dense = SolveLp(m, Simplex());
+  const LpSolution sparse = SolveLp(m, Ipm());
   ASSERT_TRUE(dense.ok()) << dense.status;
   ASSERT_TRUE(sparse.ok()) << sparse.status;
-  EXPECT_FALSE(dense.sparse_normal);
-  EXPECT_TRUE(sparse.sparse_normal);
   EXPECT_NEAR(dense.objective, sparse.objective,
               1e-6 * (1.0 + std::abs(dense.objective)));
   EXPECT_LE(m.MaxInfeasibility(dense.x), 1e-6);
@@ -364,29 +358,77 @@ TEST_P(SparseNormalTest, SparseMatchesDenseOnBandedModels) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SparseNormalTest, ::testing::Range(1, 9));
 
-TEST(SparseNormalTest, AutoPicksDenseForSmallAndSparseForBanded) {
-  const LpSolution small = SolveLp(TinyModel(), IpmWith(IpmNormalEq::kAuto));
-  ASSERT_TRUE(small.ok()) << small.status;
-  EXPECT_FALSE(small.sparse_normal);
+// Models of a few columns: the sparse factor is the only normal-equations
+// path, so degenerate shapes must solve to the simplex optimum too.
+void ExpectIpmMatchesSimplex(const LpModel& m) {
+  const LpSolution ipm = SolveLp(m, Ipm());
+  const LpSolution simplex = SolveLp(m, Simplex());
+  ASSERT_TRUE(ipm.ok()) << ipm.status;
+  ASSERT_TRUE(simplex.ok()) << simplex.status;
+  EXPECT_NEAR(ipm.objective, simplex.objective,
+              1e-7 * std::max(1.0, std::abs(simplex.objective)));
+  EXPECT_LE(m.MaxInfeasibility(ipm.x), 1e-6);
+}
 
-  Rng rng(17);
-  LpModel banded = RandomBandedModel(rng, 128, 256);
-  const LpSolution big = SolveLp(banded, IpmWith(IpmNormalEq::kAuto));
-  ASSERT_TRUE(big.ok()) << big.status;
-  EXPECT_TRUE(big.sparse_normal);
+TEST(TinyModelTest, OneColumn) {
+  LpModel m(1);
+  m.SetObjective(0, 3.0);
+  AddGe(m, {0}, {2.0}, 1.0);
+  ExpectIpmMatchesSimplex(m);
+}
+
+TEST(TinyModelTest, TwoAndThreeColumns) {
+  ExpectIpmMatchesSimplex(TinyModel());
+  LpModel m(3);
+  m.SetObjective(0, 1.0);
+  m.SetObjective(1, 2.0);
+  m.SetObjective(2, 1.5);
+  AddGe(m, {0, 1}, {1.0, 1.0}, 1.0);
+  AddGe(m, {1, 2}, {1.0, 1.0}, 2.0);
+  AddGe(m, {0, 1, 2}, {1.0, 0.5, 1.0}, 2.5);
+  ExpectIpmMatchesSimplex(m);
+}
+
+TEST(TinyModelTest, ColumnInNoRow) {
+  LpModel m(3);
+  m.SetObjective(0, 1.0);
+  m.SetObjective(1, 1.0);
+  m.SetObjective(2, 0.5);  // column 2 appears in no row: optimum x2 = 0
+  AddGe(m, {0, 1}, {1.0, 1.0}, 2.0);
+  AddGe(m, {0}, {1.0}, 0.5);
+  ExpectIpmMatchesSimplex(m);
+}
+
+TEST(TinyModelTest, DuplicateRows) {
+  LpModel m = TinyModel();
+  AddGe(m, {0, 1}, {1.0, 1.0}, 2.0);  // exact copy of row 0
+  AddGe(m, {0}, {1.0}, 0.5);          // exact copy of row 1
+  AddGe(m, {0, 1}, {2.0, 2.0}, 4.0);  // scaled copy of row 0
+  ExpectIpmMatchesSimplex(m);
+}
+
+TEST(TinyModelTest, EqualityRangedRow) {
+  LpModel m(3);
+  m.SetObjective(0, 1.0);
+  m.SetObjective(1, 2.0);
+  m.SetObjective(2, 1.0);
+  m.AddRow(std::vector<std::int32_t>{0, 1, 2},
+           std::vector<double>{1.0, 1.0, 1.0}, 3.0, 3.0);  // l = u
+  AddGe(m, {1, 2}, {1.0, -1.0}, 0.5);
+  ExpectIpmMatchesSimplex(m);
 }
 
 TEST(WarmStartTest, WarmResolveMatchesColdAndSavesIterations) {
   Rng rng(23);
   LpModel m = RandomBandedModel(rng, 96, 300);
-  const LpSolution cold = SolveLp(m, IpmWith(IpmNormalEq::kAuto));
+  const LpSolution cold = SolveLp(m, Ipm());
   ASSERT_TRUE(cold.ok()) << cold.status;
   ASSERT_EQ(cold.ge_dual.size(), m.Compiled().rhs.size());
 
   LpWarmStart warm;
   warm.x = cold.x;
   warm.ge_dual = cold.ge_dual;
-  LpSolverOptions o = IpmWith(IpmNormalEq::kAuto);
+  LpSolverOptions o = Ipm();
   o.warm_start = &warm;
   const LpSolution hot = SolveLp(m, o);
   ASSERT_TRUE(hot.ok()) << hot.status;
@@ -400,7 +442,7 @@ TEST(WarmStartTest, SizeMismatchedWarmStartIsIgnored) {
   LpModel m = TinyModel();
   LpWarmStart warm;
   warm.x = {1.0};  // wrong size: model has 2 columns
-  LpSolverOptions o = IpmWith(IpmNormalEq::kAuto);
+  LpSolverOptions o = Ipm();
   o.warm_start = &warm;
   const LpSolution s = SolveLp(m, o);
   ASSERT_TRUE(s.ok()) << s.status;
@@ -408,39 +450,48 @@ TEST(WarmStartTest, SizeMismatchedWarmStartIsIgnored) {
   EXPECT_NEAR(s.objective, 2.0, 1e-6);
 }
 
-TEST(SymbolicReuseTest, AppendedRowsInsidePatternReuseTheAnalysis) {
+TEST(SymbolicReuseTest, UnchangedStructureReusesAndAnyAppendReanalyzes) {
   Rng rng(31);
   LpModel m = RandomBandedModel(rng, 80, 240);
-  IpmContext ctx;
-  LpSolverOptions o = IpmWith(IpmNormalEq::kSparse);
-  o.ipm_context = &ctx;
+  SparseNormalFactor factor;
+  LpSolverOptions o = Ipm();
+  o.ipm_context = &factor;
   const LpSolution first = SolveLp(m, o);
   ASSERT_TRUE(first.ok()) << first.status;
   EXPECT_FALSE(first.symbolic_reused);
-  EXPECT_EQ(ctx.analyses, 1);
 
-  // Append a redundant copy of an existing row (same support => same
-  // pattern): the symbolic analysis must survive.
-  SparseRow dup = m.Row(0);
-  dup.lo *= 0.5;
-  m.AddRow(std::move(dup));
+  // A moved row bound keeps the structure: the analysis is reused, and the
+  // solve is bitwise the one a fresh analysis gives.
+  m.SetRowBounds(0, 0.5 * m.Row(0).lo, m.Row(0).hi);
   const LpSolution second = SolveLp(m, o);
   ASSERT_TRUE(second.ok()) << second.status;
   EXPECT_TRUE(second.symbolic_reused);
-  EXPECT_EQ(ctx.analyses, 1);
-  EXPECT_EQ(ctx.symbolic_reuses, 1);
-  EXPECT_NEAR(second.objective, first.objective,
-              1e-6 * (1.0 + std::abs(first.objective)));
+  const LpSolution second_fresh = SolveLp(m, Ipm());
+  ASSERT_TRUE(second_fresh.ok()) << second_fresh.status;
+  EXPECT_FALSE(second_fresh.symbolic_reused);
+  EXPECT_EQ(second.x, second_fresh.x);
 
-  // A row pairing the two extreme columns falls outside the banded pattern:
-  // the engine must re-analyze, not crash or mis-solve.
-  std::vector<std::int32_t> idx{0, 79};
-  std::vector<double> val{1.0, 1.0};
-  m.AddRow(idx, val, 0.1, kLpInf);
+  // Any appended row re-analyzes, even a copy of an existing row whose
+  // column pairs all lie inside the analyzed pattern.
+  SparseRow dup = m.Row(3);
+  dup.lo *= 0.5;
+  m.AddRow(std::move(dup));
   const LpSolution third = SolveLp(m, o);
   ASSERT_TRUE(third.ok()) << third.status;
   EXPECT_FALSE(third.symbolic_reused);
-  EXPECT_EQ(ctx.analyses, 2);
+  EXPECT_NEAR(third.objective, second.objective,
+              1e-6 * (1.0 + std::abs(second.objective)));
+
+  // A row pairing the two extreme columns leaves the banded pattern.
+  std::vector<std::int32_t> idx{0, 79};
+  std::vector<double> val{1.0, 1.0};
+  m.AddRow(idx, val, 0.1, kLpInf);
+  const LpSolution fourth = SolveLp(m, o);
+  ASSERT_TRUE(fourth.ok()) << fourth.status;
+  EXPECT_FALSE(fourth.symbolic_reused);
+  const LpSolution fourth_fresh = SolveLp(m, Ipm());
+  ASSERT_TRUE(fourth_fresh.ok()) << fourth_fresh.status;
+  EXPECT_EQ(fourth.x, fourth_fresh.x);
 }
 
 // ---- Supernodal numeric kernel ---------------------------------------------
@@ -449,8 +500,8 @@ TEST(SymbolicReuseTest, AppendedRowsInsidePatternReuseTheAnalysis) {
 // These tests pin the contract the interior-point engine relies on: the
 // supernodal kernel solves the same normal equations as the simplicial
 // oracle on random instances, stays equivalent across repeated
-// refactorizations with changed scalings (the warm Newton loop) and across
-// pattern-preserving row appends, and is bitwise deterministic in the
+// refactorizations with changed scalings (the warm Newton loop) and after
+// the re-analysis a row append forces, and is bitwise deterministic in the
 // worker count.
 
 void RandomScalings(Rng& rng, const CompiledLpModel& a, std::vector<double>* w,
@@ -560,10 +611,10 @@ TEST(SupernodalFactorTest, RepeatedRefactorsOnOneAnalysisStayEquivalent) {
   }
 }
 
-TEST(SupernodalFactorTest, PatternPreservingAppendKeepsModesEquivalent) {
-  // TryExtend keeps the analysis (and the supernodal schedule) across row
-  // appends that stay inside the pattern; both kernels must agree on the
-  // grown model too.
+TEST(SupernodalFactorTest, AppendedRowsReanalyzeAndModesAgree) {
+  // Both kernels reuse an analysis only for an unchanged structure; any
+  // appended row (inside the analyzed pattern or not) needs Analyze again,
+  // after which the kernels must still agree.
   Rng rng(63);
   LpModel m = RandomBandedModel(rng, 80, 240);
   SparseNormalFactor simp;
@@ -572,48 +623,37 @@ TEST(SupernodalFactorTest, PatternPreservingAppendKeepsModesEquivalent) {
   SparseNormalFactor sup;
   sup.Analyze(m.Compiled());
   sup.SetMode(IpmFactorMode::kSupernodal, 2);
+  EXPECT_TRUE(simp.Reusable(m.Compiled()));
+  EXPECT_TRUE(sup.Reusable(m.Compiled()));
 
   SparseRow dup = m.Row(3);  // same support => same pattern
   dup.lo *= 0.5;
   m.AddRow(std::move(dup));
-  const CompiledLpModel& a1 = m.Compiled();
-  ASSERT_TRUE(simp.TryExtend(a1));
-  ASSERT_TRUE(sup.TryExtend(a1));
-
-  std::vector<double> w;
-  std::vector<double> d;
-  RandomScalings(rng, a1, &w, &d);
-  ExpectClose(FactorAndSolve(simp, a1, w, d), FactorAndSolve(sup, a1, w, d));
-
-  // A row pairing the extreme columns falls outside the banded pattern:
-  // both kernels must refuse the extension (forcing a re-analysis) rather
-  // than factor with a stale schedule.
-  std::vector<std::int32_t> idx{0, 79};
+  std::vector<std::int32_t> idx{0, 79};  // outside the banded pattern
   std::vector<double> val{1.0, 1.0};
-  m.AddRow(idx, val, 0.1, kLpInf);
-  const CompiledLpModel& a2 = m.Compiled();
-  EXPECT_FALSE(simp.TryExtend(a2));
-  EXPECT_FALSE(sup.TryExtend(a2));
-  SparseNormalFactor fresh;
-  fresh.Analyze(a2);
-  fresh.SetMode(IpmFactorMode::kSupernodal, 1);
-  SparseNormalFactor fresh_simp;
-  fresh_simp.Analyze(a2);
-  fresh_simp.SetMode(IpmFactorMode::kSimplicial, 1);
-  RandomScalings(rng, a2, &w, &d);
-  ExpectClose(FactorAndSolve(fresh_simp, a2, w, d),
-              FactorAndSolve(fresh, a2, w, d));
+  for (int append = 0; append < 2; ++append) {
+    const CompiledLpModel& a = m.Compiled();
+    EXPECT_FALSE(simp.Reusable(a));
+    EXPECT_FALSE(sup.Reusable(a));
+    simp.Analyze(a);
+    sup.Analyze(a);
+    EXPECT_TRUE(sup.Reusable(a));
+    std::vector<double> w;
+    std::vector<double> d;
+    RandomScalings(rng, a, &w, &d);
+    ExpectClose(FactorAndSolve(simp, a, w, d), FactorAndSolve(sup, a, w, d));
+    m.AddRow(idx, val, 0.1, kLpInf);
+  }
 }
 
 TEST(SupernodalFactorTest, EngineObjectiveMatchesAcrossModes) {
   // End to end through the interior-point engine: overriding the factor
-  // mode must not move the optimum, and the dense small-model fallback
-  // (kAuto) must ignore the mode entirely.
+  // mode must not move the optimum, on a banded model and on a tiny one.
   Rng rng(91);
   LpModel m = RandomBandedModel(rng, 120, 360);
-  LpSolverOptions simp = IpmWith(IpmNormalEq::kSparse);
+  LpSolverOptions simp = Ipm();
   simp.factor_mode = IpmFactorMode::kSimplicial;
-  LpSolverOptions sup = IpmWith(IpmNormalEq::kSparse);
+  LpSolverOptions sup = Ipm();
   sup.factor_mode = IpmFactorMode::kSupernodal;
   sup.factor_jobs = 2;
   const LpSolution a = SolveLp(m, simp);
@@ -622,12 +662,11 @@ TEST(SupernodalFactorTest, EngineObjectiveMatchesAcrossModes) {
   ASSERT_TRUE(b.ok()) << b.status;
   EXPECT_NEAR(a.objective, b.objective, 1e-6 * (1.0 + std::abs(a.objective)));
 
-  LpSolverOptions tiny = IpmWith(IpmNormalEq::kAuto);
-  tiny.factor_mode = IpmFactorMode::kSupernodal;
-  const LpSolution small = SolveLp(TinyModel(), tiny);
-  ASSERT_TRUE(small.ok()) << small.status;
-  EXPECT_FALSE(small.sparse_normal);
-  EXPECT_NEAR(small.objective, 2.0, 1e-6);
+  for (const LpSolverOptions& o : {simp, sup}) {
+    const LpSolution small = SolveLp(TinyModel(), o);
+    ASSERT_TRUE(small.ok()) << small.status;
+    EXPECT_NEAR(small.objective, 2.0, 1e-6);
+  }
 }
 
 TEST(LazyRowTest, WarmLazyRoundsMatchColdOnInteriorPoint) {
@@ -654,7 +693,7 @@ TEST(LazyRowTest, WarmLazyRoundsMatchColdOnInteriorPoint) {
       lazy.SetObjective(c, full.Objective()[static_cast<std::size_t>(c)]);
     }
     for (int r = 0; r < seed_rows; ++r) lazy.AddRow(full.Row(r));
-    LpSolverOptions o = IpmWith(IpmNormalEq::kAuto);
+    LpSolverOptions o = Ipm();
     o.warm_start_lazy_rounds = warm;
     sol[warm ? 1 : 0] =
         SolveWithLazyRows(lazy, oracle, o, 50, &stats[warm ? 1 : 0]);
@@ -695,7 +734,7 @@ TEST(LazyRowTest, CallerWarmStartSeedsRoundZero) {
     }
     return out;
   };
-  LpSolverOptions o = IpmWith(IpmNormalEq::kAuto);
+  LpSolverOptions o = Ipm();
   o.warm_start_lazy_rounds = false;
 
   LpModel cold_model = seed_model();

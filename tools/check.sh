@@ -1,8 +1,12 @@
 #!/usr/bin/env bash
 # Pre-merge correctness gate: configure + build + ctest under each analysis
-# preset. Exits non-zero on the first compiler warning (-Werror), sanitizer
-# finding (-fno-sanitize-recover=all turns every report into a test
-# failure), clang-tidy diagnostic, or test failure.
+# preset, then the preset's sweeps, lint and bench gates. Fails on any
+# compiler warning (-Werror), sanitizer finding (-fno-sanitize-recover=all
+# turns every report into a test failure), clang-tidy diagnostic, test
+# failure or gate failure. A configure, build or ctest failure ends its
+# preset; a later step's failure is recorded and the preset's remaining
+# steps still run, so one failed gate never hides another. The exit code is
+# non-zero when any step of any preset failed.
 #
 # Usage:
 #   tools/check.sh             # default + asan + ubsan + tsan
@@ -90,12 +94,11 @@ for preset in "${presets[@]}"; do
     if ! "./build-$preset/tools/self_check" --seeds "$SELF_CHECK_SEEDS" \
          --eco-ops "$SELF_CHECK_ECO_OPS" --jobs "$sweep_jobs" --quiet; then
       failed+=("$preset (self_check)")
-      continue
     fi
   fi
 
-  # Engine agreement gates: lp_scaling --smoke solves fixed instances under
-  # all four normal-equation x warm-start variants and fails on any
+  # Engine agreement gates: lp_scaling --smoke solves fixed instances with
+  # cold and warm lazy rounds plus a lazy simplex reference and fails on any
   # objective disagreement; separation_scaling --smoke additionally demands
   # the octant separation oracle return bitwise-identical rows to the
   # brute-force scan (serial and threaded) and the grid NN-merge match the
@@ -114,7 +117,6 @@ for preset in "${presets[@]}"; do
     echo "==== [$preset] lubt_lint src tools bench ===="
     if ! "./build-$preset/tools/lubt_lint" src tools bench; then
       failed+=("$preset (lubt_lint)")
-      continue
     fi
 
     # 16k-sink envelope gates (default preset only: sanitizer builds are
@@ -130,31 +132,32 @@ for preset in "${presets[@]}"; do
          > "/tmp/lubt-check-$preset-lp-kernel.log" 2>&1; then
       tail -20 "/tmp/lubt-check-$preset-lp-kernel.log"
       failed+=("$preset (lp_scaling --kernel)")
-      continue
+    else
+      tail -4 "/tmp/lubt-check-$preset-lp-kernel.log" | sed "s/^/[$preset] /"
     fi
-    tail -4 "/tmp/lubt-check-$preset-lp-kernel.log" | sed "s/^/[$preset] /"
     echo "==== [$preset] separation_scaling --big ${BIG_SINKS:-16384} (16k SoA gate) ===="
     if ! "./build-$preset/bench/separation_scaling" --big "${BIG_SINKS:-16384}" \
          > "/tmp/lubt-check-$preset-sep-big.log" 2>&1; then
       tail -20 "/tmp/lubt-check-$preset-sep-big.log"
       failed+=("$preset (separation_scaling --big)")
-      continue
+    else
+      tail -2 "/tmp/lubt-check-$preset-sep-big.log" | sed "s/^/[$preset] /"
     fi
-    tail -2 "/tmp/lubt-check-$preset-sep-big.log" | sed "s/^/[$preset] /"
 
     # Committed bench artifacts must exist and be non-empty: the scaling
     # curves quoted in EXPERIMENTS.md are regenerated by running the full
     # benches from the repo root, and a missing JSON means a curve was
     # silently dropped from a refresh.
     echo "==== [$preset] bench artifacts present ===="
+    artifacts_ok=1
     for artifact in BENCH_lp.json BENCH_sep.json BENCH_eco.json BENCH_serve.json BENCH_topo.json; do
       if [[ ! -s "$artifact" ]]; then
         echo "missing bench artifact: $artifact (run the full bench to regenerate)"
         failed+=("$preset ($artifact missing)")
-        continue 2
+        artifacts_ok=0
       fi
     done
-    echo "[$preset] all bench artifacts present"
+    [[ $artifacts_ok == 1 ]] && echo "[$preset] all bench artifacts present"
   fi
 
   # serve_load --smoke drives a real unix-socket server with concurrent
@@ -168,7 +171,7 @@ for preset in "${presets[@]}"; do
            > "/tmp/lubt-check-$preset-$smoke-smoke.log" 2>&1; then
         tail -20 "/tmp/lubt-check-$preset-$smoke-smoke.log"
         failed+=("$preset ($smoke)")
-        continue 2
+        continue
       fi
       tail -1 "/tmp/lubt-check-$preset-$smoke-smoke.log" | sed "s/^/[$preset] /"
     done

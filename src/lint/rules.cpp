@@ -449,12 +449,12 @@ void RuleServeRawIo(const FileContext& ctx, std::vector<Finding>* out) {
 
 // ---------------------------------------------------------------------------
 // hot-loop-alloc: the steady-state kernels — the numeric refactor path in
-// src/lp/ (FactorAttempt*/ProcessSupernode/Ereach/Solve*), the geometry
-// distance/aggregate primitives in src/geom/, and the topology-search
-// rewire kernel in src/search/ (RewireMove, called per proposal inside the
-// annealer's round loop) — run once per Newton step, candidate pair, or
-// proposal, and their whole point is that every buffer was
-// preallocated during symbolic analysis / setup. Any `new` or allocating
+// src/lp/ (AssembleNormal/FactorAttempt*/ProcessSupernode/Ereach/Solve*),
+// the geometry distance/aggregate primitives in src/geom/, and the
+// topology-search rewire kernel in src/search/ (RewireMove, called per
+// proposal inside the annealer's round loop) — run once per Newton step,
+// candidate pair, or proposal, and their whole point is that every buffer
+// was preallocated during symbolic analysis / setup. Any `new` or allocating
 // container member call inside one of the listed functions' definitions is
 // a latent per-iteration malloc; a provably cold allocation (first-call
 // lazy init) must carry an explicit `lubt-lint: allow(hot-loop-alloc)`
@@ -466,11 +466,12 @@ void RuleHotLoopAlloc(const FileContext& ctx, std::vector<Finding>* out) {
     return;
   }
   static const std::set<std::string> kHotFunctions = {
-      "FactorAttempt", "FactorAttemptSupernodal", "ProcessSupernode",
-      "Ereach",        "SolveSimplicial",         "SolveSupernodal",
-      "TrrDist",       "TrrDistRaw",              "IntervalGap",
-      "Include",       "Merge",                   "CopyFrom",
-      "CrossBound",    "CrossBoundDirty",         "RewireMove"};
+      "AssembleNormal", "FactorAttempt",   "FactorAttemptSupernodal",
+      "ProcessSupernode", "Ereach",        "SolveSimplicial",
+      "SolveSupernodal", "TrrDist",        "TrrDistRaw",
+      "IntervalGap",     "Include",        "Merge",
+      "CopyFrom",        "CrossBound",     "CrossBoundDirty",
+      "RewireMove"};
   static const std::set<std::string> kAllocCalls = {
       "push_back", "emplace_back", "emplace", "resize",
       "reserve",   "assign",       "insert",  "append"};

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <queue>
 
 #include "check/dcheck.h"
@@ -118,6 +119,7 @@ std::vector<std::int32_t> MinDegreeOrder(const CompiledLpModel& a) {
 void SparseNormalFactor::Analyze(const CompiledLpModel& a) {
   n_ = a.num_cols;
   attempts_ = 0;
+  LUBT_ASSERT(a.col_ptr.size() == static_cast<std::size_t>(n_) + 1);
   perm_ = MinDegreeOrder(a);
   inv_perm_.assign(static_cast<std::size_t>(n_), 0);
   for (int k = 0; k < n_; ++k) {
@@ -129,9 +131,9 @@ void SparseNormalFactor::Analyze(const CompiledLpModel& a) {
   // Compose an elimination-tree postorder onto the fill order. A postorder
   // is fill-equivalent (it only relabels within subtrees) but makes every
   // etree chain occupy adjacent columns, which is what lets the supernode
-  // partition find wide panels. The pattern is then rebuilt in the composed
-  // order; a postorder of the reordered tree is the identity, so the result
-  // is stable.
+  // partition find wide panels. The pattern is relabelled into the
+  // composed order; a postorder of the reordered tree is the identity, so
+  // the result is stable.
   ComputeEtree();
   std::vector<std::int32_t> post = EtreePostOrder();
   bool identity = true;
@@ -149,78 +151,9 @@ void SparseNormalFactor::Analyze(const CompiledLpModel& a) {
       inv_perm_[static_cast<std::size_t>(
           perm_[static_cast<std::size_t>(k)])] = k;
     }
-    BuildPattern(a);
+    RelabelPattern(post);
   }
-
-  // Scatter position of every row's column pairs, in the pair order Factor
-  // assembles them. Every pair was just inserted into the pattern.
-  scatter_pos_.clear();
-  for (int i = 0; i < a.num_rows; ++i) {
-    const std::int64_t begin = a.row_ptr[static_cast<std::size_t>(i)];
-    const std::int64_t end = a.row_ptr[static_cast<std::size_t>(i) + 1];
-    for (std::int64_t pa = begin; pa < end; ++pa) {
-      const std::int32_t ca =
-          inv_perm_[static_cast<std::size_t>(a.col[static_cast<std::size_t>(pa)])];
-      for (std::int64_t pb = begin; pb <= pa; ++pb) {
-        const std::int32_t cb = inv_perm_[static_cast<std::size_t>(
-            a.col[static_cast<std::size_t>(pb)])];
-        const std::int64_t pos =
-            FindEntry(std::min(ca, cb), std::max(ca, cb));
-        LUBT_ASSERT(pos >= 0);
-        scatter_pos_.push_back(pos);
-      }
-    }
-  }
-  analyzed_rows_ = a.num_rows;
-  analyzed_nnz_ = a.row_ptr[static_cast<std::size_t>(a.num_rows)];
-  BuildSymbolic();
-}
-
-void SparseNormalFactor::BuildPattern(const CompiledLpModel& a) {
-  // Pattern of the permuted normal matrix as sorted unique upper-triangle
-  // keys (column-major; the full diagonal is always present because every
-  // Newton system adds diag(z/x) > 0).
-  std::vector<std::int64_t> keys;
-  std::int64_t pair_count = 0;
-  for (int i = 0; i < a.num_rows; ++i) {
-    const std::int64_t len = a.row_ptr[static_cast<std::size_t>(i) + 1] -
-                             a.row_ptr[static_cast<std::size_t>(i)];
-    pair_count += len * (len + 1) / 2;
-  }
-  keys.reserve(static_cast<std::size_t>(pair_count) +
-               static_cast<std::size_t>(n_));
-  const std::int64_t nn = n_;
-  for (std::int64_t j = 0; j < nn; ++j) keys.push_back(j * nn + j);
-  for (int i = 0; i < a.num_rows; ++i) {
-    const std::int64_t begin = a.row_ptr[static_cast<std::size_t>(i)];
-    const std::int64_t end = a.row_ptr[static_cast<std::size_t>(i) + 1];
-    for (std::int64_t pa = begin; pa < end; ++pa) {
-      const std::int64_t ca =
-          inv_perm_[static_cast<std::size_t>(a.col[static_cast<std::size_t>(pa)])];
-      for (std::int64_t pb = begin; pb <= pa; ++pb) {
-        const std::int64_t cb = inv_perm_[static_cast<std::size_t>(
-            a.col[static_cast<std::size_t>(pb)])];
-        const std::int64_t r = std::min(ca, cb);
-        const std::int64_t c = std::max(ca, cb);
-        keys.push_back(c * nn + r);
-      }
-    }
-  }
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-
-  up_ptr_.assign(static_cast<std::size_t>(n_) + 1, 0);
-  up_row_.resize(keys.size());
-  for (std::size_t p = 0; p < keys.size(); ++p) {
-    const std::int64_t c = keys[p] / nn;
-    up_row_[p] = static_cast<std::int32_t>(keys[p] % nn);
-    ++up_ptr_[static_cast<std::size_t>(c) + 1];
-  }
-  for (int j = 0; j < n_; ++j) {
-    up_ptr_[static_cast<std::size_t>(j) + 1] +=
-        up_ptr_[static_cast<std::size_t>(j)];
-  }
-  up_val_.assign(keys.size(), 0.0);
+  up_val_.assign(up_row_.size(), 0.0);
   diag_pos_.assign(static_cast<std::size_t>(n_), 0);
   for (int j = 0; j < n_; ++j) {
     const std::size_t pj =
@@ -230,6 +163,140 @@ void SparseNormalFactor::BuildPattern(const CompiledLpModel& a) {
     LUBT_ASSERT(up_row_[static_cast<std::size_t>(pos)] ==
                 static_cast<std::int32_t>(pj));
     diag_pos_[static_cast<std::size_t>(j)] = pos;
+  }
+  LUBT_ASSERT(up_row_.size() <=
+              static_cast<std::size_t>(
+                  std::numeric_limits<std::int32_t>::max()));
+  BuildScatter(a);
+  analyzed_rows_ = a.num_rows;
+  analyzed_nnz_ = a.row_ptr[static_cast<std::size_t>(a.num_rows)];
+  BuildSymbolic();
+}
+
+void SparseNormalFactor::BuildPattern(const CompiledLpModel& a) {
+  // Column-at-a-time merge: permuted column c's upper pattern is the union
+  // of the permuted columns <= c of every row touching perm_[c], deduped
+  // with an n-sized stamp. Only that column's short list is sorted; the
+  // diagonal (always present, since every Newton system adds diag(z/x) > 0)
+  // is appended last.
+  std::vector<std::int32_t> stamp(static_cast<std::size_t>(n_), -1);
+  up_ptr_.assign(static_cast<std::size_t>(n_) + 1, 0);
+  up_row_.clear();
+  for (std::int32_t c = 0; c < n_; ++c) {
+    const std::size_t j =
+        static_cast<std::size_t>(perm_[static_cast<std::size_t>(c)]);
+    const std::size_t first = up_row_.size();
+    for (std::int64_t q = a.col_ptr[j]; q < a.col_ptr[j + 1]; ++q) {
+      const std::size_t i =
+          static_cast<std::size_t>(a.row[static_cast<std::size_t>(q)]);
+      for (std::int64_t p = a.row_ptr[i]; p < a.row_ptr[i + 1]; ++p) {
+        const std::int32_t r = inv_perm_[static_cast<std::size_t>(
+            a.col[static_cast<std::size_t>(p)])];
+        if (r >= c || stamp[static_cast<std::size_t>(r)] == c) continue;
+        stamp[static_cast<std::size_t>(r)] = c;
+        up_row_.push_back(r);
+      }
+    }
+    std::sort(up_row_.begin() + static_cast<std::ptrdiff_t>(first),
+              up_row_.end());
+    up_row_.push_back(c);
+    up_ptr_[static_cast<std::size_t>(c) + 1] =
+        static_cast<std::int64_t>(up_row_.size());
+  }
+}
+
+void SparseNormalFactor::RelabelPattern(
+    const std::vector<std::int32_t>& post) {
+  // Map entry (r, c) to (ipost[r], ipost[c]), swap it into the upper
+  // triangle, counting-sort it by the new column and sort each column.
+  const std::size_t n = static_cast<std::size_t>(n_);
+  std::vector<std::int32_t> ipost(n, 0);
+  for (std::size_t k = 0; k < n; ++k) {
+    ipost[static_cast<std::size_t>(post[k])] = static_cast<std::int32_t>(k);
+  }
+  std::vector<std::int64_t> ptr(n + 1, 0);
+  for (std::size_t c = 0; c < n; ++c) {
+    for (std::int64_t p = up_ptr_[c]; p < up_ptr_[c + 1]; ++p) {
+      const std::int32_t r = up_row_[static_cast<std::size_t>(p)];
+      ++ptr[static_cast<std::size_t>(
+                std::max(ipost[static_cast<std::size_t>(r)], ipost[c])) +
+            1];
+    }
+  }
+  for (std::size_t k = 0; k < n; ++k) ptr[k + 1] += ptr[k];
+  std::vector<std::int32_t> rows(up_row_.size(), 0);
+  std::vector<std::int64_t> cursor(ptr.begin(), ptr.end() - 1);
+  for (std::size_t c = 0; c < n; ++c) {
+    for (std::int64_t p = up_ptr_[c]; p < up_ptr_[c + 1]; ++p) {
+      const std::int32_t nr =
+          ipost[static_cast<std::size_t>(up_row_[static_cast<std::size_t>(p)])];
+      const std::int32_t nc = ipost[c];
+      rows[static_cast<std::size_t>(
+          cursor[static_cast<std::size_t>(std::max(nr, nc))]++)] =
+          std::min(nr, nc);
+    }
+  }
+  for (std::size_t c = 0; c < n; ++c) {
+    std::sort(rows.begin() + ptr[c], rows.begin() + ptr[c + 1]);
+  }
+  up_ptr_ = std::move(ptr);
+  up_row_ = std::move(rows);
+}
+
+void SparseNormalFactor::BuildScatter(const CompiledLpModel& a) {
+  // Scatter position of every row's column pairs, in the pair order Factor
+  // assembles them: pair (ia, ib <= ia) of row i sits at
+  // row_base[i] + ia(ia+1)/2 + ib. Each pair is written while its larger
+  // permuted column c is current, reading its position from a dense
+  // row -> position map of c's pattern (every pair is in the pattern).
+  const std::size_t rows = static_cast<std::size_t>(a.num_rows);
+  std::vector<std::int64_t> row_base(rows + 1, 0);
+  for (std::size_t i = 0; i < rows; ++i) {
+    const std::int64_t len = a.row_ptr[i + 1] - a.row_ptr[i];
+    row_base[i + 1] = row_base[i] + len * (len + 1) / 2;
+  }
+  // Index of every CSC entry within its row: the CSC lists each column's
+  // rows ascending, so one cursor pass over the rows in order visits every
+  // column's entries in CSC order.
+  std::vector<std::int32_t> in_row(a.row.size(), 0);
+  {
+    std::vector<std::int64_t> cursor(a.col_ptr.begin(), a.col_ptr.end() - 1);
+    for (std::size_t i = 0; i < rows; ++i) {
+      for (std::int64_t p = a.row_ptr[i]; p < a.row_ptr[i + 1]; ++p) {
+        const std::size_t j =
+            static_cast<std::size_t>(a.col[static_cast<std::size_t>(p)]);
+        const std::size_t q = static_cast<std::size_t>(cursor[j]++);
+        LUBT_DCHECK(a.row[q] == static_cast<std::int32_t>(i));
+        in_row[q] = static_cast<std::int32_t>(p - a.row_ptr[i]);
+      }
+    }
+  }
+  scatter_pos_.assign(static_cast<std::size_t>(row_base[rows]), 0);
+  std::vector<std::int32_t> pos_of(static_cast<std::size_t>(n_), 0);
+  for (std::int32_t c = 0; c < n_; ++c) {
+    const std::size_t cu = static_cast<std::size_t>(c);
+    for (std::int64_t p = up_ptr_[cu]; p < up_ptr_[cu + 1]; ++p) {
+      pos_of[static_cast<std::size_t>(up_row_[static_cast<std::size_t>(p)])] =
+          static_cast<std::int32_t>(p);
+    }
+    const std::size_t j = static_cast<std::size_t>(perm_[cu]);
+    for (std::int64_t q = a.col_ptr[j]; q < a.col_ptr[j + 1]; ++q) {
+      const std::size_t i =
+          static_cast<std::size_t>(a.row[static_cast<std::size_t>(q)]);
+      const std::int64_t ia = in_row[static_cast<std::size_t>(q)];
+      const std::int64_t begin = a.row_ptr[i];
+      for (std::int64_t p = begin; p < a.row_ptr[i + 1]; ++p) {
+        const std::int32_t r = inv_perm_[static_cast<std::size_t>(
+            a.col[static_cast<std::size_t>(p)])];
+        if (r > c) continue;  // written when r is current
+        const std::int64_t ib = p - begin;
+        const std::int64_t hi = std::max(ia, ib);
+        const std::int64_t lo = std::min(ia, ib);
+        scatter_pos_[static_cast<std::size_t>(row_base[i] + hi * (hi + 1) / 2 +
+                                              lo)] =
+            pos_of[static_cast<std::size_t>(r)];
+      }
+    }
   }
 }
 
@@ -296,15 +363,6 @@ std::vector<std::int32_t> SparseNormalFactor::EtreePostOrder() const {
   }
   LUBT_ASSERT(static_cast<int>(post.size()) == n_);
   return post;
-}
-
-std::int64_t SparseNormalFactor::FindEntry(std::int32_t r,
-                                           std::int32_t c) const {
-  const auto begin = up_row_.begin() + up_ptr_[static_cast<std::size_t>(c)];
-  const auto end = up_row_.begin() + up_ptr_[static_cast<std::size_t>(c) + 1];
-  const auto it = std::lower_bound(begin, end, r);
-  if (it == end || *it != r) return -1;
-  return it - up_row_.begin();
 }
 
 bool SparseNormalFactor::Reusable(const CompiledLpModel& a) const {
@@ -750,20 +808,16 @@ int SparseNormalFactor::Ereach(int k) {
   return top;
 }
 
-bool SparseNormalFactor::Factor(const CompiledLpModel& a,
-                                std::span<const double> row_weight,
-                                std::span<const double> diag) {
-  LUBT_ASSERT(analyzed() && a.num_cols == n_ && a.num_rows == analyzed_rows_);
-  LUBT_ASSERT(row_weight.size() == static_cast<std::size_t>(a.num_rows));
-  LUBT_ASSERT(diag.size() == static_cast<std::size_t>(n_));
-
+void SparseNormalFactor::AssembleNormal(const CompiledLpModel& a,
+                                        std::span<const double> row_weight,
+                                        std::span<const double> diag) {
   // Assemble M into the fixed pattern through the precomputed positions.
   std::fill(up_val_.begin(), up_val_.end(), 0.0);
   for (int j = 0; j < n_; ++j) {
     up_val_[static_cast<std::size_t>(diag_pos_[static_cast<std::size_t>(j)])] +=
         diag[static_cast<std::size_t>(j)];
   }
-  std::int64_t c = 0;
+  std::size_t c = 0;
   for (int i = 0; i < a.num_rows; ++i) {
     const double w = row_weight[static_cast<std::size_t>(i)];
     const std::int64_t begin = a.row_ptr[static_cast<std::size_t>(i)];
@@ -771,13 +825,22 @@ bool SparseNormalFactor::Factor(const CompiledLpModel& a,
     for (std::int64_t pa = begin; pa < end; ++pa) {
       const double wa = w * a.val[static_cast<std::size_t>(pa)];
       for (std::int64_t pb = begin; pb <= pa; ++pb) {
-        up_val_[static_cast<std::size_t>(
-            scatter_pos_[static_cast<std::size_t>(c++)])] +=
+        up_val_[static_cast<std::size_t>(scatter_pos_[c++])] +=
             wa * a.val[static_cast<std::size_t>(pb)];
       }
     }
   }
-  LUBT_DCHECK(c == static_cast<std::int64_t>(scatter_pos_.size()));
+  LUBT_DCHECK(c == scatter_pos_.size());
+}
+
+bool SparseNormalFactor::Factor(const CompiledLpModel& a,
+                                std::span<const double> row_weight,
+                                std::span<const double> diag) {
+  LUBT_ASSERT(analyzed() && a.num_cols == n_ && a.num_rows == analyzed_rows_);
+  LUBT_ASSERT(row_weight.size() == static_cast<std::size_t>(a.num_rows));
+  LUBT_ASSERT(diag.size() == static_cast<std::size_t>(n_));
+
+  AssembleNormal(a, row_weight, diag);
 
   // Escalating diagonal regularization.
   attempts_ = 0;

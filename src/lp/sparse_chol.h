@@ -16,8 +16,18 @@
 //  2. the symbolic factorization (ordering, elimination tree, nnz(L)) is
 //     computed once and reused by every numeric refactorization;
 //  3. assembly scatters each row's coefficient products through precomputed
-//     value positions, so a Newton iteration costs O(sum_i nnz(row_i)^2 +
-//     flops(L)) instead of O(n^2 + n^3/6).
+//     int32 value positions, so a Newton iteration costs O(sum_i
+//     nnz(row_i)^2 + flops(L)) instead of O(n^2 + n^3/6).
+//
+// The analysis itself never sorts or searches the O(sum_i nnz(row_i)^2)
+// row pairs: the pattern is a stamp-deduped merge over the cached CSC, one
+// column at a time (only each column's short row list is sorted); the
+// etree postorder relabels that pattern's nnz(M) entries (a counting sort
+// by the new column, then a sort of each column's rows) instead of
+// rebuilding it from the rows; and every pair's scatter position is
+// written directly from a dense row -> position map of its larger column.
+// The map's sum_i nnz(row_i)(nnz(row_i)+1)/2 int32 entries are the
+// analysis's largest buffer.
 //
 // The analysis is reused only for a model of unchanged structure (an ECO
 // edit that moves row bounds, a lazy round's cold retry); a model grown by
@@ -111,11 +121,33 @@ class SparseNormalFactor {
     return sn_panel_ptr_.empty() ? 0 : sn_panel_ptr_.back();
   }
 
+  /// Read-only view of the symbolic analysis, for the tests' reference
+  /// oracle: the final ordering, the upper CSC pattern of P M P', the
+  /// diagonal positions (per original column) and the scatter map.
+  struct AnalysisView {
+    std::span<const std::int32_t> perm;
+    std::span<const std::int64_t> up_ptr;
+    std::span<const std::int32_t> up_row;
+    std::span<const std::int64_t> diag_pos;
+    std::span<const std::int32_t> scatter_pos;
+  };
+  AnalysisView ViewForTest() const {
+    return {perm_, up_ptr_, up_row_, diag_pos_, scatter_pos_};
+  }
+
  private:
-  // Position of (r, c) with r <= c in the permuted upper CSC pattern, or -1.
-  std::int64_t FindEntry(std::int32_t r, std::int32_t c) const;
   // Upper-triangular pattern of P M P' for the current perm_/inv_perm_.
   void BuildPattern(const CompiledLpModel& a);
+  // Relabel the pattern by the etree postorder `post` (post[k] = old
+  // position labelled k-th); perm_/inv_perm_ must already be composed.
+  void RelabelPattern(const std::vector<std::int32_t>& post);
+  // scatter_pos_ for the current pattern.
+  void BuildScatter(const CompiledLpModel& a);
+  // Factor's per-iteration assembly of M into up_val_ (steady state: never
+  // allocates).
+  void AssembleNormal(const CompiledLpModel& a,
+                      std::span<const double> row_weight,
+                      std::span<const double> diag);
   void ComputeEtree();
   // Deterministic postorder of etree_ (children ascending).
   std::vector<std::int32_t> EtreePostOrder() const;
@@ -151,8 +183,9 @@ class SparseNormalFactor {
 
   // Scatter positions into up_val_, ge rows in order, each aligned with
   // the pair enumeration (a, b) for a = 0..len-1, b = 0..a over the row's
-  // entries.
-  std::vector<std::int64_t> scatter_pos_;
+  // entries. int32 because Analyze asserts nnz(M) fits; this is the buffer
+  // assembly streams every Newton iteration.
+  std::vector<std::int32_t> scatter_pos_;
 
   // Symbolic L (CSC, first entry of each column is its diagonal).
   std::vector<std::int32_t> etree_;

@@ -415,6 +415,30 @@ TEST(HotLoopAlloc, FlagsAllocationInSteadyStateKernel) {
   EXPECT_EQ(CountRule(findings, "hot-loop-alloc"), 2);
 }
 
+TEST(HotLoopAlloc, NormalAssemblyFlaggedAndCleanBodyPasses) {
+  // Factor's per-iteration assembly carries the no-alloc contract: the
+  // scatter map and the value array are sized by Analyze.
+  const auto flagged =
+      Lint("src/lp/sparse_chol.cpp",
+           "void SparseNormalFactor::AssembleNormal(const CompiledLpModel& a,\n"
+           "    std::span<const double> w, std::span<const double> d) {\n"
+           "  up_val_.assign(up_row_.size(), 0.0);\n"
+           "  scatter_pos_.push_back(0);\n"
+           "}\n");
+  EXPECT_EQ(CountRule(flagged, "hot-loop-alloc"), 2);
+
+  const auto clean =
+      Lint("src/lp/sparse_chol.cpp",
+           "void SparseNormalFactor::AssembleNormal(const CompiledLpModel& a,\n"
+           "    std::span<const double> w, std::span<const double> d) {\n"
+           "  std::fill(up_val_.begin(), up_val_.end(), 0.0);\n"
+           "  for (std::size_t c = 0; c < scatter_pos_.size(); ++c) {\n"
+           "    up_val_[scatter_pos_[c]] += w[0] * a.val[c];\n"
+           "  }\n"
+           "}\n");
+  EXPECT_EQ(CountRule(clean, "hot-loop-alloc"), 0);
+}
+
 TEST(HotLoopAlloc, ConstMethodBodyUnderGeomFlagged) {
   const auto findings =
       Lint("src/geom/octant.h",

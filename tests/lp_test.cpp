@@ -6,14 +6,21 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
+#include "cts/metrics.h"
+#include "ebf/formulation.h"
+#include "ebf/solver.h"
+#include "geom/bbox.h"
+#include "io/benchmarks.h"
 #include "lp/interior_point.h"
 #include "lp/lazy_row_solver.h"
 #include "lp/model.h"
 #include "lp/presolve.h"
 #include "lp/sparse_chol.h"
+#include "topo/nn_merge.h"
 #include "util/rng.h"
 
 namespace lubt {
@@ -790,6 +797,290 @@ TEST(LpModelTest, SetRowBounds) {
   const LpSolution s = SolveLp(m, Simplex());
   ASSERT_TRUE(s.ok());
   EXPECT_NEAR(s.objective, 4.0, 1e-8);
+}
+
+// ---------------------------------------------------------------------- //
+// Symbolic-analysis oracle: the sort-based analysis SparseNormalFactor used
+// before the stamp merge (every row pair pushed as a key, sorted, deduped;
+// pattern rebuilt after the etree postorder; scatter positions found by
+// binary search), kept here as the reference the production analysis must
+// reproduce entry for entry.
+
+struct RefAnalysis {
+  std::vector<std::int32_t> perm;
+  std::vector<std::int32_t> inv_perm;
+  std::vector<std::int64_t> up_ptr;
+  std::vector<std::int32_t> up_row;
+  std::vector<std::int64_t> diag_pos;
+  std::vector<std::int64_t> scatter_pos;
+  bool post_identity = true;
+};
+
+void RefBuildPattern(const CompiledLpModel& a, RefAnalysis* r) {
+  const int n = a.num_cols;
+  const std::int64_t nn = n;
+  std::vector<std::int64_t> keys;
+  for (std::int64_t j = 0; j < nn; ++j) keys.push_back(j * nn + j);
+  for (int i = 0; i < a.num_rows; ++i) {
+    const std::int64_t begin = a.row_ptr[static_cast<std::size_t>(i)];
+    const std::int64_t end = a.row_ptr[static_cast<std::size_t>(i) + 1];
+    for (std::int64_t pa = begin; pa < end; ++pa) {
+      const std::int64_t ca = r->inv_perm[static_cast<std::size_t>(
+          a.col[static_cast<std::size_t>(pa)])];
+      for (std::int64_t pb = begin; pb <= pa; ++pb) {
+        const std::int64_t cb = r->inv_perm[static_cast<std::size_t>(
+            a.col[static_cast<std::size_t>(pb)])];
+        keys.push_back(std::max(ca, cb) * nn + std::min(ca, cb));
+      }
+    }
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  r->up_ptr.assign(static_cast<std::size_t>(n) + 1, 0);
+  r->up_row.resize(keys.size());
+  for (std::size_t p = 0; p < keys.size(); ++p) {
+    r->up_row[p] = static_cast<std::int32_t>(keys[p] % nn);
+    ++r->up_ptr[static_cast<std::size_t>(keys[p] / nn) + 1];
+  }
+  for (std::size_t j = 0; j < static_cast<std::size_t>(n); ++j) {
+    r->up_ptr[j + 1] += r->up_ptr[j];
+  }
+  r->diag_pos.assign(static_cast<std::size_t>(n), 0);
+  for (std::size_t j = 0; j < static_cast<std::size_t>(n); ++j) {
+    r->diag_pos[j] =
+        r->up_ptr[static_cast<std::size_t>(r->inv_perm[j]) + 1] - 1;
+  }
+}
+
+std::int64_t RefFindEntry(const RefAnalysis& r, std::int32_t row,
+                          std::int32_t col) {
+  const auto begin = r.up_row.begin() + r.up_ptr[static_cast<std::size_t>(col)];
+  const auto end =
+      r.up_row.begin() + r.up_ptr[static_cast<std::size_t>(col) + 1];
+  const auto it = std::lower_bound(begin, end, row);
+  if (it == end || *it != row) return -1;
+  return it - r.up_row.begin();
+}
+
+// Liu's etree and the children-ascending postorder, as in Analyze.
+std::vector<std::int32_t> RefPostOrder(const RefAnalysis& r, int n) {
+  std::vector<std::int32_t> parent(static_cast<std::size_t>(n), -1);
+  std::vector<std::int32_t> ancestor(static_cast<std::size_t>(n), -1);
+  for (int k = 0; k < n; ++k) {
+    for (std::int64_t p = r.up_ptr[static_cast<std::size_t>(k)];
+         p < r.up_ptr[static_cast<std::size_t>(k) + 1]; ++p) {
+      std::int32_t i = r.up_row[static_cast<std::size_t>(p)];
+      while (i != -1 && i < k) {
+        const std::int32_t next = ancestor[static_cast<std::size_t>(i)];
+        ancestor[static_cast<std::size_t>(i)] = k;
+        if (next == -1) parent[static_cast<std::size_t>(i)] = k;
+        i = next;
+      }
+    }
+  }
+  std::vector<std::vector<std::int32_t>> children(static_cast<std::size_t>(n));
+  for (int j = 0; j < n; ++j) {
+    if (parent[static_cast<std::size_t>(j)] >= 0) {
+      children[static_cast<std::size_t>(parent[static_cast<std::size_t>(j)])]
+          .push_back(j);
+    }
+  }
+  std::vector<std::int32_t> post;
+  std::vector<std::pair<std::int32_t, std::size_t>> stack;
+  for (int root = 0; root < n; ++root) {
+    if (parent[static_cast<std::size_t>(root)] >= 0) continue;
+    stack.push_back({root, 0});
+    while (!stack.empty()) {
+      auto& [v, next] = stack.back();
+      const auto& kids = children[static_cast<std::size_t>(v)];
+      if (next < kids.size()) {
+        const std::int32_t c = kids[next++];
+        stack.push_back({c, 0});
+      } else {
+        post.push_back(v);
+        stack.pop_back();
+      }
+    }
+  }
+  return post;
+}
+
+RefAnalysis RefAnalyze(const CompiledLpModel& a) {
+  const int n = a.num_cols;
+  RefAnalysis r;
+  r.perm = MinDegreeOrder(a);
+  r.inv_perm.assign(static_cast<std::size_t>(n), 0);
+  for (int k = 0; k < n; ++k) {
+    r.inv_perm[static_cast<std::size_t>(r.perm[static_cast<std::size_t>(k)])] =
+        k;
+  }
+  RefBuildPattern(a, &r);
+  const std::vector<std::int32_t> post = RefPostOrder(r, n);
+  for (int k = 0; k < n; ++k) {
+    r.post_identity = r.post_identity && post[static_cast<std::size_t>(k)] == k;
+  }
+  if (!r.post_identity) {
+    std::vector<std::int32_t> composed(static_cast<std::size_t>(n), 0);
+    for (int k = 0; k < n; ++k) {
+      composed[static_cast<std::size_t>(k)] = r.perm[static_cast<std::size_t>(
+          post[static_cast<std::size_t>(k)])];
+    }
+    r.perm = std::move(composed);
+    for (int k = 0; k < n; ++k) {
+      r.inv_perm[static_cast<std::size_t>(
+          r.perm[static_cast<std::size_t>(k)])] = k;
+    }
+    RefBuildPattern(a, &r);
+  }
+  for (int i = 0; i < a.num_rows; ++i) {
+    const std::int64_t begin = a.row_ptr[static_cast<std::size_t>(i)];
+    const std::int64_t end = a.row_ptr[static_cast<std::size_t>(i) + 1];
+    for (std::int64_t pa = begin; pa < end; ++pa) {
+      const std::int32_t ca = r.inv_perm[static_cast<std::size_t>(
+          a.col[static_cast<std::size_t>(pa)])];
+      for (std::int64_t pb = begin; pb <= pa; ++pb) {
+        const std::int32_t cb = r.inv_perm[static_cast<std::size_t>(
+            a.col[static_cast<std::size_t>(pb)])];
+        r.scatter_pos.push_back(
+            RefFindEntry(r, std::min(ca, cb), std::max(ca, cb)));
+      }
+    }
+  }
+  return r;
+}
+
+template <typename T, typename U>
+void ExpectSameEntries(std::span<const T> got, const std::vector<U>& want,
+                       const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    ASSERT_EQ(static_cast<std::int64_t>(got[k]),
+              static_cast<std::int64_t>(want[k]))
+        << what << "[" << k << "]";
+  }
+}
+
+// Analyze `m` and demand the reference's ordering, pattern, diagonal
+// positions and scatter map entry for entry. Returns whether the etree
+// postorder was the identity (so callers can check both cases are hit).
+bool ExpectAnalysisMatchesReference(const LpModel& m) {
+  const CompiledLpModel& a = m.Compiled();
+  SparseNormalFactor f;
+  f.Analyze(a);
+  const RefAnalysis ref = RefAnalyze(a);
+  const SparseNormalFactor::AnalysisView view = f.ViewForTest();
+  ExpectSameEntries(view.perm, ref.perm, "perm");
+  ExpectSameEntries(view.up_ptr, ref.up_ptr, "up_ptr");
+  ExpectSameEntries(view.up_row, ref.up_row, "up_row");
+  ExpectSameEntries(view.diag_pos, ref.diag_pos, "diag_pos");
+  ExpectSameEntries(view.scatter_pos, ref.scatter_pos, "scatter_pos");
+  return ref.post_identity;
+}
+
+// The final model of a lazy EBF solve (seed rows plus every separated
+// Steiner row), or the full kAll model when `lazy` is false.
+LpModel EbfModel(int num_sinks, std::uint64_t seed, bool lazy) {
+  const BBox die(Point{0.0, 0.0}, Point{1000.0, 1000.0});
+  const SinkSet set = RandomSinkSet(num_sinks, die, seed, true);
+  const Topology topo = NnMergeTopology(set.sinks, set.source);
+  const double radius = Radius(set.sinks, set.source);
+  EbfProblem problem;
+  problem.topo = &topo;
+  problem.sinks = set.sinks;
+  problem.source = set.source;
+  problem.bounds.assign(set.sinks.size(),
+                        DelayBounds{0.9 * radius, 1.2 * radius});
+  Result<EbfFormulation> built = EbfFormulation::Build(
+      problem, lazy ? SteinerRowPolicy::kSeed : SteinerRowPolicy::kAll);
+  EXPECT_TRUE(built.ok()) << built.status();
+  EbfFormulation& form = *built;
+  if (lazy) {
+    const EbfSolveOptions opt;
+    const RowOracle oracle = [&](std::span<const double> x) {
+      return form.FindViolatedSteinerRows(x, opt.separation_tol,
+                                          opt.max_rows_per_round);
+    };
+    const LpSolution sol = SolveWithLazyRows(form.MutableModel(), oracle,
+                                             opt.lp, opt.max_lazy_rounds);
+    EXPECT_TRUE(sol.ok()) << sol.status;
+  }
+  return form.Model();
+}
+
+TEST(AnalysisOracleTest, LazyGrownAndFullEbfModels) {
+  int relabelled = 0;
+  for (const auto& [sinks, lazy] :
+       {std::pair{64, true}, std::pair{256, true}, std::pair{24, false}}) {
+    SCOPED_TRACE(::testing::Message() << sinks << " sinks, lazy " << lazy);
+    if (!ExpectAnalysisMatchesReference(EbfModel(sinks, 17, lazy))) {
+      ++relabelled;
+    }
+  }
+  EXPECT_GT(relabelled, 0);  // the postorder relabel path is exercised
+}
+
+TEST(AnalysisOracleTest, TinyAndDegenerateShapes) {
+  std::vector<LpModel> models;
+  {  // one column
+    LpModel m(1);
+    AddGe(m, {0}, {2.0}, 1.0);
+    models.push_back(m);
+  }
+  models.push_back(TinyModel());
+  {  // three columns, overlapping rows
+    LpModel m(3);
+    AddGe(m, {0, 1}, {1.0, 1.0}, 1.0);
+    AddGe(m, {1, 2}, {1.0, 1.0}, 2.0);
+    AddGe(m, {0, 1, 2}, {1.0, 0.5, 1.0}, 2.5);
+    models.push_back(m);
+  }
+  {  // column 2 in no row
+    LpModel m(3);
+    AddGe(m, {0, 1}, {1.0, 1.0}, 2.0);
+    AddGe(m, {0}, {1.0}, 0.5);
+    models.push_back(m);
+  }
+  {  // duplicate rows
+    LpModel m = TinyModel();
+    AddGe(m, {0, 1}, {1.0, 1.0}, 2.0);
+    AddGe(m, {0}, {1.0}, 0.5);
+    AddGe(m, {0, 1}, {2.0, 2.0}, 4.0);
+    models.push_back(m);
+  }
+  {  // equality row (two ge rows) beside a ranged one
+    LpModel m(3);
+    m.AddRow(std::vector<std::int32_t>{0, 1, 2},
+             std::vector<double>{1.0, 1.0, 1.0}, 3.0, 3.0);
+    AddGe(m, {1, 2}, {1.0, -1.0}, 0.5);
+    models.push_back(m);
+  }
+  {  // singleton rows only, plus an empty-row column
+    LpModel m(5);
+    for (std::int32_t c = 0; c < 4; ++c) AddGe(m, {c}, {1.0 + c}, 1.0);
+    AddGe(m, {3}, {2.0}, 1.5);
+    models.push_back(m);
+  }
+  {  // a chain whose min-degree order needs a postorder relabel
+    LpModel m(9);
+    AddGe(m, {0, 8}, {1.0, 1.0}, 1.0);
+    AddGe(m, {1, 8}, {1.0, 1.0}, 1.0);
+    AddGe(m, {2, 3}, {1.0, 1.0}, 1.0);
+    AddGe(m, {3, 4, 7}, {1.0, 1.0, 1.0}, 1.0);
+    AddGe(m, {5, 6}, {1.0, 1.0}, 1.0);
+    AddGe(m, {6, 7, 8}, {1.0, 1.0, 1.0}, 1.0);
+    models.push_back(m);
+  }
+  Rng rng(41);
+  for (int t = 0; t < 6; ++t) models.push_back(RandomBandedModel(rng, 60, 150));
+  int identity = 0;
+  int relabelled = 0;
+  for (std::size_t k = 0; k < models.size(); ++k) {
+    SCOPED_TRACE(::testing::Message() << "model " << k);
+    (ExpectAnalysisMatchesReference(models[k]) ? identity : relabelled)++;
+  }
+  // Both the identity-postorder and the relabel path are covered.
+  EXPECT_GT(identity, 0);
+  EXPECT_GT(relabelled, 0);
 }
 
 }  // namespace
